@@ -19,7 +19,7 @@
 //!    and shard sections must survive a [`GenerationStore`] hot-swap
 //!    round-trip.
 //!
-//! Results land in `BENCH_serving.json` (`"harness": "scale_drill"`).
+//! Results land in `BENCH_scale.json` (`"harness": "scale_drill"`).
 //! Honours `--smoke` / `--quick` (smaller dim/clusters, still ≥100k
 //! images). Exits non-zero if any gate fails.
 
@@ -374,8 +374,8 @@ fn main() {
     let _ = writeln!(json, "  \"hotswap_pass\": {hotswap_pass},");
     let _ = writeln!(json, "  \"all_pass\": {all_pass}");
     json.push_str("}\n");
-    std::fs::write("BENCH_serving.json", &json).expect("write BENCH_serving.json");
-    println!("wrote BENCH_serving.json");
+    std::fs::write("BENCH_scale.json", &json).expect("write BENCH_scale.json");
+    println!("wrote BENCH_scale.json");
 
     if !all_pass {
         std::process::exit(1);

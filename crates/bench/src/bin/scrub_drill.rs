@@ -25,7 +25,7 @@
 //!
 //! The determinism check replays campaign 2 end to end (corrupt → degrade
 //! → heal) at 1 and 4 worker threads and requires bit-identical responses,
-//! traces, and stats. Results go to `BENCH_robustness.json`; non-zero exit
+//! stats, and trace stats. Results go to `BENCH_scrub.json`; non-zero exit
 //! on any gate failure. Honours `--quick` / `--smoke`.
 
 use std::fmt::Write as _;
@@ -167,8 +167,9 @@ fn heal_run(world: &World, victim: usize, scrub_budget: usize, dir_tag: &str) ->
         }
     }
     run.scrub_corruptions = service.scrub_stats().corruptions;
-    run.serve_time_quarantine =
-        service.trace().iter().any(|l| l.contains("wave shard probe failed"));
+    // Every quarantine the scrubber did not report came from the serve-time
+    // wave CRC check.
+    run.serve_time_quarantine = service.stats().shards_quarantined > run.scrub_corruptions;
     // Re-admitted: the next burst probes again instead of falling back.
     let before = service.stats().ann_requests;
     let got = service.run(&requests, &NoFaults);
@@ -293,6 +294,10 @@ fn main() {
     service.attach_store(GenerationStore::new(&dir).expect("scratch dir"));
     let mut control = MatchService::with_generation(config, Generation::new(1, clone_index()));
     let requests = MatchRequest::stream(config.wave, world.entities, 11);
+    // Each republish over a damaged file counts into `serve.scrub.republish`.
+    let obs = cem_obs::force_enable();
+    let republishes = || cem_obs::global().counter("serve.scrub.republish").get();
+    let republishes_before = republishes();
     let mut c3_wrong = 0usize;
     let mut c3_waves_to_clean = None;
     for wave in 1..=5 {
@@ -308,7 +313,8 @@ fn main() {
             break;
         }
     }
-    let c3_republished = service.trace().iter().any(|l| l.contains("republished"));
+    let c3_republished = republishes() > republishes_before;
+    drop(obs);
     // Republish rotates the damaged latest into prev, so convergence takes
     // at most two boundaries: one full scrub cycle per rotation step.
     let c3_pass = matches!(c3_waves_to_clean, Some(w) if w <= 2) && c3_republished && c3_wrong == 0;
@@ -376,7 +382,7 @@ fn main() {
 
     // ---------------------------------------------------------------
     // Determinism: replay campaign 2's full corrupt → degrade → heal arc
-    // at 1 and 4 worker threads; responses, traces, and stats must be
+    // at 1 and 4 worker threads; responses, stats, and trace stats must be
     // bit-identical.
     // ---------------------------------------------------------------
     eprintln!("[determinism] heal replay at 1 vs 4 threads …");
@@ -396,17 +402,17 @@ fn main() {
         for _ in 0..4 {
             responses.extend(service.run(&requests, &NoFaults));
         }
-        let out = (responses, service.trace().to_vec(), service.stats().clone());
+        let out = (responses, service.stats().clone(), service.trace_stats());
         std::fs::remove_dir_all(&dir).ok();
         out
     };
-    let (r1, t1, s1) = replay(1);
-    let (r4, t4, s4) = replay(4);
-    let determinism_pass = r1 == r4 && t1 == t4 && s1 == s4;
+    let (r1, s1, x1) = replay(1);
+    let (r4, s4, x4) = replay(4);
+    let determinism_pass = r1 == r4 && s1 == s4 && x1 == x4;
     println!("[determinism] 1 vs 4 threads → {}", verdict(determinism_pass));
 
     // ---------------------------------------------------------------
-    // Summary + BENCH_robustness.json
+    // Summary + BENCH_scrub.json
     // ---------------------------------------------------------------
     let all_pass = c1_pass && c2_pass && c3_pass && c4_pass && determinism_pass;
     println!("scrub drill: {}", if all_pass { "ALL PASS" } else { "FAILURES" });
@@ -437,8 +443,8 @@ fn main() {
     let _ = writeln!(json, "  \"determinism_pass\": {determinism_pass},");
     let _ = writeln!(json, "  \"all_pass\": {all_pass}");
     json.push_str("}\n");
-    std::fs::write("BENCH_robustness.json", &json).expect("write BENCH_robustness.json");
-    println!("wrote BENCH_robustness.json");
+    std::fs::write("BENCH_scrub.json", &json).expect("write BENCH_scrub.json");
+    println!("wrote BENCH_scrub.json");
 
     if !all_pass {
         std::process::exit(1);

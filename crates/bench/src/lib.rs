@@ -18,6 +18,8 @@
 //! | `fault_drill` | resilience drills: crash/resume equivalence, NaN-injection rollback, checkpoint corruption rejection, torn-rotation fallback (writes `BENCH_robustness.json`) |
 //! | `chaos_drill` | serving chaos drills: latency spikes, worker panics, NaN features, corrupt cache rows, overload shedding, thread-count determinism (writes `BENCH_chaos.json`) |
 //! | `load_drill` | open-loop overload drills: admission queue + brownout under Poisson/burst/diurnal/hot-key arrivals, mid-run generation hot-swap, thread-count determinism (writes `BENCH_serving.json`) |
+//! | `scale_drill` | sub-quadratic serving over ≥100k images: probed fraction, recall@10 vs the dense oracle, thread-count determinism (writes `BENCH_scale.json`) |
+//! | `scrub_drill` | self-healing storage: scrub- and serve-time-detected bit rot, disk rot, torn publishes, zero wrong responses (writes `BENCH_scrub.json`) |
 //!
 //! All harnesses honour `--quick` (smaller data/epochs) and print both
 //! measured numbers and the paper's reference values so shape comparisons

@@ -23,6 +23,10 @@
 //! | `gauge_summary` | [`crate::ObsSession::finish`] | `gauge`, `value` (last level held) |
 //! | `trace` | [`crate::trace::emit_trace`] | one line per span: `trace_id`, `idx`, `span`, `parent`, `start`, `end`, `cause`, span attrs; root line adds `req`, `latency_units`, tail flags, `n_spans`, `sampled`, `bucket_log2` |
 //! | `slo_alert` | [`crate::slo::SloMonitor`] | `state` (`firing`\|`resolved`), `at_units`, `burn_fast`, `burn_slow`, `target`, `threshold` |
+//! | `scrub_corruption` | `cem-serve` scrubber | `section` (`dense_row`\|`shard_cluster`\|`disk_generation`) + its location |
+//! | `breaker_transition` | `cem-serve` fold | `component`, `transition` (`tripped`\|`reopened`\|`recovered`), `tick` |
+//! | `brownout_shift` | `cem-serve` wave boundary | `from`, `to`, `wave` |
+//! | `repair_failed` | `cem-serve` wave boundary | `stage`, `error` |
 //! | `run_end` | [`crate::ObsSession::finish`] | `wall_seconds`, `dropped_lines` + caller extras |
 //!
 //! Unknown kinds are legal (consumers skip them); nested values are not

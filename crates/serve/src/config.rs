@@ -117,8 +117,8 @@ pub struct ServeConfig {
     pub breaker: BreakerConfig,
     pub brownout: BrownoutConfig,
     /// Structured tracing + SLO policy (see [`crate::trace`]). Only
-    /// *observes*: responses, stats, and the string trace are bit-identical
-    /// whatever these knobs say.
+    /// *observes*: responses and stats are bit-identical whatever these
+    /// knobs say.
     pub trace: TraceConfig,
 }
 

@@ -18,7 +18,7 @@
 //!
 //! Everything decision-relevant runs on a virtual cost-unit clock, so a
 //! fixed `(seed, fault schedule)` reproduces responses, breaker
-//! transitions, and retry traces bit-identically at any thread count. See
+//! transitions, and span trees bit-identically at any thread count. See
 //! DESIGN.md §11 for the full determinism contract.
 
 pub mod breaker;

@@ -114,9 +114,9 @@ pub(crate) struct ExecOutcome {
     pub wall_nanos: u64,
     pub events: Vec<ComponentEvent>,
     /// Typed execution events in occurrence order (retries, degradations,
-    /// skips) with virtual-clock positions — wall clock never appears. The
-    /// fold renders these into the legacy string trace and, when tracing
-    /// is on, into structured span trees (see [`crate::trace`]).
+    /// skips) with virtual-clock positions — wall clock never appears. When
+    /// tracing is on, the fold builds them into a span tree (see
+    /// [`crate::trace`]).
     pub steps: Vec<crate::trace::ReqEvent>,
 }
 

@@ -10,8 +10,8 @@
 //! pool. When the wave joins, each request's component observations fold
 //! into the breakers **in arrival order**. Workers therefore never mutate
 //! shared state, and the fold is a serial left-to-right reduction — which
-//! is why responses, breaker transitions, and retry traces are bit-identical
-//! at 1 and N threads.
+//! is why responses, stats, breaker transitions, span trees, and obs events
+//! are bit-identical at 1 and N threads.
 //!
 //! A `HalfOpen` component admits exactly one probe per wave: slot 0. Every
 //! other slot treats the component as open and degrades past its tier.
@@ -68,9 +68,7 @@ use crate::retry::{splitmix64, Backoff};
 use crate::scrub::{ScrubFinding, ScrubStats, Scrubber};
 use crate::shard::{ShardError, ShardRanking, ShardedIndex};
 use crate::tiers::{ServeIndex, Tier};
-use crate::trace::{
-    build_trace, render_lines, AttemptTag, ProbeTag, ReqEvent, ServeTracer, TraceInput, TraceStats,
-};
+use crate::trace::{build_trace, AttemptTag, ProbeTag, ReqEvent, ServeTracer, TraceInput, TraceStats};
 
 /// Aggregate counters over everything a service instance has processed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -179,9 +177,8 @@ pub struct MatchService<'a> {
     /// Requests folded so far — the deterministic clock breakers run on.
     tick: u64,
     stats: ServeStats,
-    trace: Vec<String>,
     /// Structured tracing: tail sampler + SLO burn-rate monitor. Only
-    /// observes — never feeds back into responses, stats, or `trace`.
+    /// observes — never feeds back into responses or stats.
     tracer: ServeTracer,
     brownout: BrownoutController,
     /// A generation staged for promotion at the next wave boundary.
@@ -239,7 +236,6 @@ impl<'a> MatchService<'a> {
             breakers,
             tick: 0,
             stats: ServeStats::default(),
-            trace: Vec::new(),
             tracer: ServeTracer::new(&config.trace),
             brownout,
             staged: None,
@@ -257,14 +253,6 @@ impl<'a> MatchService<'a> {
 
     pub fn stats(&self) -> &ServeStats {
         &self.stats
-    }
-
-    /// The deterministic event trace: admission sheds, retries,
-    /// degradations, breaker transitions, brownout shifts, swap events.
-    /// No wall-clock content. Rendered from the same typed execution
-    /// events the structured span trees derive from (see [`crate::trace`]).
-    pub fn trace(&self) -> &[String] {
-        &self.trace
     }
 
     /// Deterministic tracing + SLO totals: traces seen/sampled by reason,
@@ -341,17 +329,16 @@ impl<'a> MatchService<'a> {
         let found = (generation.index.entities(), generation.index.images());
         if expected != found {
             let err = SwapError::ShapeMismatch { expected, found };
-            self.reject_swap(&err);
+            self.reject_swap();
             return Err(err);
         }
         let current_id =
             self.staged.as_ref().map(|g| g.id).unwrap_or(0).max(self.source.generation());
         if generation.id <= current_id {
             let err = SwapError::StaleGeneration { current: current_id, incoming: generation.id };
-            self.reject_swap(&err);
+            self.reject_swap();
             return Err(err);
         }
-        self.trace.push(format!("generation {} staged", generation.id));
         self.staged = Some(generation);
         Ok(())
     }
@@ -362,8 +349,8 @@ impl<'a> MatchService<'a> {
     pub fn offer_swap(&mut self, incoming: Result<Generation, SwapError>) -> bool {
         match incoming {
             Ok(generation) => self.stage(generation).is_ok(),
-            Err(err) => {
-                self.reject_swap(&err);
+            Err(_) => {
+                self.reject_swap();
                 false
             }
         }
@@ -381,7 +368,6 @@ impl<'a> MatchService<'a> {
     pub fn promote_staged(&mut self) -> bool {
         match self.staged.take() {
             Some(generation) => {
-                self.trace.push(format!("generation {} promoted", generation.id));
                 self.stats.hotswap_promotes += 1;
                 cem_obs::counter_add!("serve.hotswap.promote", 1);
                 self.source = IndexSource::Owned(Box::new(generation));
@@ -391,10 +377,9 @@ impl<'a> MatchService<'a> {
         }
     }
 
-    fn reject_swap(&mut self, err: &SwapError) {
+    fn reject_swap(&mut self) {
         self.stats.hotswap_rejects += 1;
         cem_obs::counter_add!("serve.hotswap.reject", 1);
-        self.trace.push(format!("hot-swap rejected: {err}"));
     }
 
     /// Wave-boundary background work: one budgeted scrub tick over the
@@ -416,30 +401,16 @@ impl<'a> MatchService<'a> {
         );
         for finding in findings {
             match finding {
-                ScrubFinding::DenseRow { tier, entity } => {
-                    // Detection only: every serve-time attempt re-verifies
-                    // dense rows and degrades past damage (`score_tier`).
-                    self.trace.push(format!(
-                        "scrub: dense row {}/{entity} failed its CRC",
-                        tier.label()
-                    ));
-                }
+                // Detection only: every serve-time attempt re-verifies
+                // dense rows and degrades past damage (`score_tier`).
+                ScrubFinding::DenseRow { .. } => {}
                 ScrubFinding::ShardCluster { cluster } => {
                     if self.quarantined.insert(cluster) {
                         self.stats.shards_quarantined += 1;
                         cem_obs::counter_add!("serve.shard.quarantine", 1);
-                        self.trace.push(format!(
-                            "scrub: cluster {cluster} failed its CRC, quarantined"
-                        ));
                     }
                 }
-                ScrubFinding::DiskGeneration { file } => {
-                    self.disk_damaged = true;
-                    self.trace.push(format!(
-                        "scrub: on-disk {} generation failed verification",
-                        file.label()
-                    ));
-                }
+                ScrubFinding::DiskGeneration { .. } => self.disk_damaged = true,
             }
         }
         self.repair();
@@ -468,14 +439,8 @@ impl<'a> MatchService<'a> {
                             && store.verify_file(StoreFile::Prev).is_ok();
                         self.disk_damaged = !clean;
                         cem_obs::counter_add!("serve.scrub.republish", 1);
-                        self.trace.push(format!(
-                            "scrub: generation {} republished over damaged file",
-                            generation.id
-                        ));
                     }
-                    Err(err) => {
-                        self.trace.push(format!("scrub: republish failed ({err})"));
-                    }
+                    Err(err) => emit_repair_failed("republish", err),
                 }
             }
         }
@@ -495,32 +460,21 @@ impl<'a> MatchService<'a> {
                                 Ok(()) => {
                                     self.quarantined.remove(&cluster);
                                     self.stats.shards_repaired += 1;
-                                    self.trace.push(format!(
-                                        "scrub: cluster {cluster} repaired from generation {}, re-admitted",
-                                        donor.id
-                                    ));
                                     if let Err(err) = store.publish(generation) {
-                                        self.trace.push(format!(
-                                            "scrub: healed republish failed ({err})"
-                                        ));
+                                        emit_repair_failed("healed_republish", err);
                                     }
                                 }
-                                Err(err) => {
-                                    self.trace.push(format!(
-                                        "scrub: cluster {cluster} repair failed ({err})"
-                                    ));
-                                }
+                                Err(err) => emit_repair_failed("repair", err),
                             }
                         }
-                        Ok(donor) => {
-                            self.trace.push(format!(
-                                "scrub: repair donor generation {} does not match serving {}, skipped",
+                        Ok(donor) => emit_repair_failed(
+                            "donor_mismatch",
+                            format_args!(
+                                "donor generation {} does not match serving {}",
                                 donor.id, generation.id
-                            ));
-                        }
-                        Err(err) => {
-                            self.trace.push(format!("scrub: repair donor load failed ({err})"));
-                        }
+                            ),
+                        ),
+                        Err(err) => emit_repair_failed("donor_load", err),
                     }
                 }
             }
@@ -574,7 +528,7 @@ impl<'a> MatchService<'a> {
     /// deadline budget each. Responses come back in request order.
     pub fn run(&mut self, requests: &[MatchRequest], faults: &dyn ServeFault) -> Vec<Response> {
         // Captured once per run: tracing decisions never change mid-run,
-        // and the tracer only observes — responses/stats/trace strings are
+        // and the tracer only observes — responses and stats are
         // bit-identical whether this is true or false.
         let tracing = self.config.trace.enabled && cem_obs::enabled();
         let admitted = requests.len().min(self.config.max_queue_depth);
@@ -583,10 +537,6 @@ impl<'a> MatchService<'a> {
         for request in &requests[admitted..] {
             self.stats.shed += 1;
             cem_obs::counter_add!("serve.shed", 1);
-            self.trace.push(format!(
-                "req {}: shed at admission (queue depth {})",
-                request.id, self.config.max_queue_depth
-            ));
             self.observe_unserved(request, &Outcome::Shed, 0, 0, tracing);
         }
 
@@ -660,10 +610,6 @@ impl<'a> MatchService<'a> {
                     Err(_) => {
                         self.stats.shed += 1;
                         cem_obs::counter_add!("serve.shed", 1);
-                        self.trace.push(format!(
-                            "req {}: shed at admission (queue full at {})",
-                            arrival.request.id, self.config.queue_capacity
-                        ));
                         self.observe_unserved(&arrival.request, &Outcome::Shed, 0, clock, tracing);
                         responses.push(self.shed_response(&arrival.request, Outcome::Shed, 0));
                     }
@@ -694,13 +640,6 @@ impl<'a> MatchService<'a> {
                 expired_now += 1;
                 self.stats.expired += 1;
                 cem_obs::counter_add!("serve.expired", 1);
-                self.trace.push(format!(
-                    "req {}: expired in queue (waited {}, remaining {} < cheapest {})",
-                    queued.request.id,
-                    queued.waited(clock),
-                    queued.remaining(clock),
-                    cheapest
-                ));
                 self.observe_unserved(
                     &queued.request,
                     &Outcome::Expired,
@@ -725,18 +664,17 @@ impl<'a> MatchService<'a> {
                 missed: last_missed + expired_now,
                 completed: last_completed + expired_now,
             });
-            if let Some(shift) = shift {
-                self.trace.push(match shift {
-                    BrownoutShift::Demoted { from, to } => format!(
-                        "wave {wave_idx}: brownout demoted {} -> {}",
-                        from.label(),
-                        to.label()
-                    ),
-                    BrownoutShift::Promoted { from, to } => format!(
-                        "wave {wave_idx}: brownout promoted {} -> {}",
-                        from.label(),
-                        to.label()
-                    ),
+            if let Some(BrownoutShift::Demoted { from, to } | BrownoutShift::Promoted { from, to }) =
+                shift
+            {
+                // `wave` is the ordinal of the first wave at the new cap —
+                // the `wave` attribute its span trees carry.
+                let wave = self.stats.waves;
+                cem_obs::events::emit(|| {
+                    cem_obs::Event::new("brownout_shift")
+                        .field("from", from.label())
+                        .field("to", to.label())
+                        .field_u64("wave", wave)
                 });
             }
             let cap = self.brownout.cap();
@@ -854,14 +792,10 @@ impl<'a> MatchService<'a> {
                             break;
                         }
                         Err(ShardError::Corrupt { shard }) => {
-                            let err = ShardError::Corrupt { shard };
                             if self.quarantined.insert(shard) {
                                 self.stats.shards_quarantined += 1;
                                 cem_obs::counter_add!("serve.shard.quarantine", 1);
                             }
-                            self.trace.push(format!(
-                                "wave shard probe failed ({err}), cluster {shard} quarantined"
-                            ));
                             pending.retain(|&slot| {
                                 let probes = shards
                                     .probe(wave[slot].request.entity, self.config.nprobe);
@@ -880,9 +814,7 @@ impl<'a> MatchService<'a> {
                             // never wedge the wave.
                             self.stats.wave_fallbacks += 1;
                             cem_obs::counter_add!("serve.probe.fallback", 1);
-                            self.trace.push(format!(
-                                "wave shard probe failed ({err}), dense fallback"
-                            ));
+                            emit_repair_failed("shard_probe", err);
                             for &slot in &pending {
                                 probe_tags[slot] = ProbeTag::Fallback;
                             }
@@ -893,9 +825,6 @@ impl<'a> MatchService<'a> {
                 if quarantine_hits > 0 {
                     self.stats.cluster_fallbacks += quarantine_hits;
                     cem_obs::counter_add!("serve.probe.cluster_fallback", quarantine_hits);
-                    self.trace.push(format!(
-                        "wave {wave_no}: {quarantine_hits} slots probe quarantined clusters, dense fallback"
-                    ));
                 }
             }
         }
@@ -942,7 +871,6 @@ impl<'a> MatchService<'a> {
             let exec = slot.expect("wave slot left unfilled");
             let ws = &wave[slot_idx];
             self.tick += 1;
-            render_lines(ws.request.id, &exec.steps, &mut self.trace);
             for event in &exec.events {
                 let breaker = &mut self.breakers[event.component.index()];
                 if let Some(transition) = breaker.record(self.tick, event.success) {
@@ -951,12 +879,13 @@ impl<'a> MatchService<'a> {
                         BreakerTransition::Reopened => "reopened",
                         BreakerTransition::Recovered => "recovered",
                     };
-                    self.trace.push(format!(
-                        "tick {}: breaker {} {}",
-                        self.tick,
-                        event.component.label(),
-                        verb
-                    ));
+                    let tick = self.tick;
+                    cem_obs::events::emit(|| {
+                        cem_obs::Event::new("breaker_transition")
+                            .field("component", event.component.label())
+                            .field("transition", verb)
+                            .field_u64("tick", tick)
+                    });
                     if transition != BreakerTransition::Recovered {
                         self.stats.breaker_trips += 1;
                         cem_obs::counter_add!("serve.breaker_trip", 1);
@@ -983,10 +912,6 @@ impl<'a> MatchService<'a> {
                 Outcome::Shed | Outcome::Expired | Outcome::InternalError => {
                     self.stats.internal_errors += 1;
                     cem_obs::counter_add!("serve.internal_error", 1);
-                    self.trace.push(format!(
-                        "req {}: internal error (unexpected execution outcome)",
-                        ws.request.id
-                    ));
                     Outcome::InternalError
                 }
             };
@@ -1066,6 +991,16 @@ fn record_brownout_wave(cap: Tier) {
     counter.add(1);
 }
 
+/// Emit a `repair_failed` event: one heal step (`stage`) that did not
+/// complete, so a heal that keeps failing still leaves a record.
+fn emit_repair_failed(stage: &'static str, error: impl std::fmt::Display) {
+    cem_obs::events::emit(|| {
+        cem_obs::Event::new("repair_failed")
+            .field("stage", stage)
+            .field("error", error.to_string())
+    });
+}
+
 /// What one tier attempt produced. `units` is the virtual cost the attempt
 /// charged (tier cost, stretched by spikes, capped at the attempt timeout).
 enum AttemptResult {
@@ -1103,9 +1038,9 @@ fn execute_request(
     let mut cost: u64 = 0;
     let mut retries: u32 = 0;
     let mut events: Vec<ComponentEvent> = Vec::new();
-    // Typed event log: rendered into the legacy trace strings (and, when
-    // tracing is on, span trees) at fold time. `at` positions are captured
-    // *before* the matching cost charge so spans start where work started.
+    // Typed event log, built into a span tree at fold time when tracing is
+    // on. `at` positions are captured *before* the matching cost charge so
+    // spans start where work started.
     let mut steps: Vec<ReqEvent> = Vec::new();
     let mut outcome: Option<Outcome> = None;
 
@@ -1121,7 +1056,6 @@ fn execute_request(
             }
         }
         if cost >= budget {
-            steps.push(ReqEvent::DeadlineBefore { tier, at: cost });
             outcome = Some(Outcome::DeadlineExceeded);
             break 'ladder;
         }
@@ -1129,12 +1063,7 @@ fn execute_request(
         // remaining budget is skipped, not burned.
         let tier_cost = config.tier_cost[tier.index()];
         if cost.saturating_add(tier_cost) > budget {
-            steps.push(ReqEvent::SkipBudget {
-                tier,
-                tier_cost,
-                remaining: budget - cost,
-                at: cost,
-            });
+            steps.push(ReqEvent::SkipBudget { tier, at: cost });
             continue;
         }
 
@@ -1174,7 +1103,6 @@ fn execute_request(
                     steps.push(ReqEvent::Backoff { tier, attempt_no: attempt, at: cost, delay });
                     cost += delay;
                     if cost >= budget {
-                        steps.push(ReqEvent::DeadlineInBackoff { tier, at: cost });
                         outcome = Some(Outcome::DeadlineExceeded);
                         break 'ladder;
                     }
@@ -1191,18 +1119,10 @@ fn execute_request(
         }
     }
 
-    // The ladder can run dry when every remaining rung was unaffordable —
-    // equivalent to the deadline having already fired.
-    let outcome = match outcome {
-        Some(outcome) => outcome,
-        None => {
-            steps.push(ReqEvent::NoAffordableTier { budget, at: cost });
-            Outcome::DeadlineExceeded
-        }
-    };
-
     ExecOutcome {
-        outcome,
+        // The ladder can run dry when every remaining rung was unaffordable —
+        // equivalent to the deadline having already fired.
+        outcome: outcome.unwrap_or(Outcome::DeadlineExceeded),
         cost_units: cost,
         retries,
         wall_nanos: started.elapsed().as_nanos() as u64,
@@ -1452,12 +1372,19 @@ mod tests {
         let responses = service.run(&requests, &fault);
         assert!(service.breaker_trips(Component::SoftEncoder) >= 1);
         assert!(service.stats().breaker_trips >= 1);
-        // ...after which clean requests still degrade (tier skipped) until
-        // the cooldown elapses and a probe recovers the tier.
-        let skipped = service.trace().iter().any(|l| l.contains("skip full"));
-        assert!(skipped, "expected breaker-open skips in {:?}", service.trace());
-        let recovered = service.trace().iter().any(|l| l.contains("breaker soft_encoder recovered"));
-        assert!(recovered, "expected a probe recovery in {:?}", service.trace());
+        // ...after which clean requests still degrade until the cooldown
+        // elapses: a fault-free request served cached on its first attempt
+        // at exactly the cached tier's cost skipped full without trying it.
+        let cached_cost = config().tier_cost[Tier::Cached.index()];
+        let skipped = responses.iter().any(|r| {
+            r.id >= 2
+                && r.outcome.served_tier() == Some(Tier::Cached)
+                && r.retries == 0
+                && r.cost_units == cached_cost
+        });
+        assert!(skipped, "expected breaker-open skips in {responses:?}");
+        // A tripped breaker that ends closed was recovered by a probe.
+        assert_eq!(service.breaker_state(Component::SoftEncoder), BreakerState::Closed);
         // Once recovered, the tail of the stream serves from full again.
         assert_eq!(responses.last().unwrap().outcome.served_tier(), Some(Tier::Full));
     }
@@ -1494,7 +1421,7 @@ mod tests {
     }
 
     #[test]
-    fn responses_and_traces_are_identical_at_one_and_four_threads() {
+    fn responses_and_stats_are_identical_at_one_and_four_threads() {
         silence_injected_panics();
         let index = index();
         let requests = MatchRequest::stream(40, 3, 11);
@@ -1503,13 +1430,13 @@ mod tests {
             let _guard = ThreadsGuard::new(threads);
             let mut service = MatchService::new(ServeConfig { wave: 8, ..config() }, &index);
             let responses = service.run(&requests, &fault);
-            (responses, service.trace().to_vec(), service.stats().clone())
+            (responses, service.stats().clone(), service.trace_stats())
         };
-        let (r1, t1, s1) = run_with(1);
-        let (r4, t4, s4) = run_with(4);
+        let (r1, s1, x1) = run_with(1);
+        let (r4, s4, x4) = run_with(4);
         assert_eq!(r1, r4, "responses must be bit-identical across thread counts");
-        assert_eq!(t1, t4, "breaker/retry traces must be identical across thread counts");
-        assert_eq!(s1, s4);
+        assert_eq!(s1, s4, "breaker/retry stats must be identical across thread counts");
+        assert_eq!(x1, x4);
     }
 
     #[test]
@@ -1607,11 +1534,6 @@ mod tests {
         browned.run_open_loop(&arrivals(200, 0, 7), &NoFaults);
         assert!(browned.stats().brownout_waves[Tier::Cached.index()] > 0);
         assert!(browned.stats().served[Tier::Cached.index()] > 0);
-        assert!(
-            browned.trace().iter().any(|l| l.contains("brownout demoted full -> cached")),
-            "expected a demotion in {:?}",
-            browned.trace()
-        );
 
         let mut control = MatchService::new(make(false), &index);
         control.run_open_loop(&arrivals(200, 0, 7), &NoFaults);
@@ -1648,11 +1570,8 @@ mod tests {
             });
         }
         service.run_open_loop(&schedule, &NoFaults);
-        assert!(
-            service.trace().iter().any(|l| l.contains("brownout promoted")),
-            "expected a promotion in {:?}",
-            service.trace()
-        );
+        // Waves spent browned out, then a full cap again: a promotion.
+        assert!(service.stats().brownout_waves[Tier::Cached.index()] > 0, "burst must demote");
         assert_eq!(service.brownout_cap(), Tier::Full, "calm tail must restore the cap");
     }
 
@@ -1731,13 +1650,13 @@ mod tests {
             service.schedule_swap(7, Err(SwapError::Empty));
             let fault = TierFault { tier: Tier::Full, kind: FaultKind::WorkerPanic, until_id: 9 };
             let responses = service.run_open_loop(&schedule, &fault);
-            (responses, service.trace().to_vec(), service.stats().clone())
+            (responses, service.stats().clone(), service.trace_stats())
         };
-        let (r1, t1, s1) = run_with(1);
-        let (r4, t4, s4) = run_with(4);
+        let (r1, s1, x1) = run_with(1);
+        let (r4, s4, x4) = run_with(4);
         assert_eq!(r1, r4, "open-loop responses must be bit-identical across thread counts");
-        assert_eq!(t1, t4, "open-loop traces must be identical across thread counts");
         assert_eq!(s1, s4);
+        assert_eq!(x1, x4);
         assert_eq!(s1.hotswap_promotes, 1);
         assert_eq!(s1.hotswap_rejects, 1);
     }
@@ -1825,16 +1744,6 @@ mod tests {
         assert_eq!(probed.stats().cluster_fallbacks, 8);
         assert_eq!(probed.stats().wave_fallbacks, 0, "corruption never fails the whole wave");
         assert_eq!(probed.stats().ann_requests, 0);
-        assert!(
-            probed.trace().iter().any(|l| l.contains("quarantined")),
-            "expected a quarantine note in {:?}",
-            probed.trace()
-        );
-        assert!(
-            probed.trace().iter().any(|l| l.contains("dense fallback")),
-            "expected a fallback note in {:?}",
-            probed.trace()
-        );
     }
 
     /// With nprobe < nclusters, only the requests whose probe schedule
@@ -1935,11 +1844,7 @@ mod tests {
         let want = control.run(&requests, &NoFaults);
         assert_eq!(got, want, "healed serving must be bit-identical to the control");
         assert!(service.stats().ann_requests > before, "probing must resume after repair");
-        assert!(
-            service.trace().iter().any(|l| l.contains("repaired from generation 1")),
-            "expected a repair note in {:?}",
-            service.trace()
-        );
+        assert!(service.quarantined().is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1975,13 +1880,13 @@ mod tests {
                 &shards,
             );
             let responses = service.run(&requests, &fault);
-            (responses, service.trace().to_vec(), service.stats().clone())
+            (responses, service.stats().clone(), service.trace_stats())
         };
-        let (r1, t1, s1) = run_with(1);
-        let (r4, t4, s4) = run_with(4);
+        let (r1, s1, x1) = run_with(1);
+        let (r4, s4, x4) = run_with(4);
         assert_eq!(r1, r4, "probed responses must be bit-identical across thread counts");
-        assert_eq!(t1, t4);
         assert_eq!(s1, s4);
+        assert_eq!(x1, x4);
         assert!(s1.ann_requests > 0, "the probe pre-pass must have run");
     }
 }

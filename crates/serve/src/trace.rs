@@ -1,24 +1,21 @@
 //! Structured per-request tracing for the serving stack.
 //!
-//! The execution pipeline records **typed events** ([`ReqEvent`]) instead
-//! of pre-rendered strings: each event carries the tier, the attempt
-//! number, and the virtual-clock position (`at`) where it happened. From
-//! that single deterministic record two views derive:
-//!
-//! * the **legacy string trace** ([`render_lines`]) — byte-identical to
-//!   the lines `execute_request` used to push, so `MatchService::trace()`
-//!   and every drill that greps it keep working unchanged; and
-//! * the **span tree** ([`build_trace`]) — a [`RequestTrace`] with
-//!   `queue_wait` / `probe` / per-tier `attempt` / `retry_backoff` / `rank`
-//!   spans on the virtual clock, structured cause tags, and the tail flags
-//!   the sampler keys on.
+//! The execution pipeline records **typed events** ([`ReqEvent`]): each
+//! event carries the tier, the attempt number, and the virtual-clock
+//! position (`at`) where it happened. The service's one per-request record
+//! is the **span tree** built from them ([`build_trace`]) — a
+//! [`RequestTrace`] with `queue_wait` / `probe` / per-tier `attempt` /
+//! `retry_backoff` / `rank` spans on the virtual clock, structured cause
+//! tags, and the tail flags the sampler keys on. Service-wide facts no
+//! tree holds — breaker transitions, brownout shifts, failed repairs — go
+//! out as typed obs events from [`crate::MatchService`].
 //!
 //! [`ServeTracer`] owns the tail sampler and the SLO burn-rate monitor.
 //! Everything here is driven from the wave fold (serial, arrival order)
 //! with inputs that are pure functions of the deterministic execution
 //! record, so the sampled trace stream is bit-identical at any thread
-//! count — and none of it feeds back into responses, stats, or the string
-//! trace, so results are bit-identical with tracing on or off.
+//! count — and none of it feeds back into responses or stats, so results
+//! are bit-identical with tracing on or off.
 
 use cem_obs::sampler::{SamplerConfig, TailSampler};
 use cem_obs::slo::{SloConfig, SloMonitor};
@@ -43,7 +40,7 @@ pub fn trace_id(request: &MatchRequest) -> u64 {
 /// How one tier attempt resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AttemptTag {
-    /// The attempt produced a ranking (no legacy trace line).
+    /// The attempt produced a ranking.
     Served,
     /// Cancelled at the attempt-timeout boundary (transient, retriable).
     Timeout,
@@ -66,17 +63,6 @@ impl AttemptTag {
             AttemptTag::NanDegrade => Some("nan_degrade"),
         }
     }
-
-    /// The reason text the legacy trace lines used.
-    fn reason(self) -> &'static str {
-        match self {
-            AttemptTag::Served => "",
-            AttemptTag::Timeout => "attempt timeout",
-            AttemptTag::Panic => "worker panic",
-            AttemptTag::CrcDegrade => "row checksum mismatch",
-            AttemptTag::NanDegrade => "non-finite top score",
-        }
-    }
 }
 
 /// Whether this request's wave ran the shard probe pre-pass for it.
@@ -97,82 +83,21 @@ pub(crate) enum ProbeTag {
 /// One typed event from the per-request execution pipeline, in the order it
 /// happened. `at` is the request's virtual-cost position when the event
 /// occurred (execution-local: queue wait is added at span-build time).
+/// Deadline terminations carry no event: they are the root span's cause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ReqEvent {
     /// Tier skipped: below the wave's brownout cap.
     SkipBrownout { tier: Tier, cap: Tier, at: u64 },
     /// Tier skipped: its component's breaker denied the attempt.
     SkipBreaker { tier: Tier, component: Component, at: u64 },
-    /// Budget ran out before this tier could even be considered.
-    DeadlineBefore { tier: Tier, at: u64 },
     /// Tier skipped: one attempt could not fit the remaining budget.
-    SkipBudget { tier: Tier, tier_cost: u64, remaining: u64, at: u64 },
+    SkipBudget { tier: Tier, at: u64 },
     /// One tier attempt: span `[at, at + units]`, resolution in `tag`.
     Attempt { tier: Tier, attempt_no: u32, at: u64, units: u64, tag: AttemptTag },
     /// The tier's retry budget ran dry; degrading to the next rung.
     RetriesExhausted { tier: Tier, at: u64 },
     /// Backoff delay before retry `attempt_no`: span `[at, at + delay]`.
     Backoff { tier: Tier, attempt_no: u32, at: u64, delay: u64 },
-    /// The budget ran out inside a backoff delay.
-    DeadlineInBackoff { tier: Tier, at: u64 },
-    /// The ladder ran dry: every remaining rung was unaffordable.
-    NoAffordableTier { budget: u64, at: u64 },
-}
-
-/// Render the legacy trace lines for one request's events — byte-identical
-/// to the strings `execute_request` historically pushed (asserted by the
-/// pinning tests below and `tests/tracing.rs`).
-pub(crate) fn render_lines(request_id: u64, steps: &[ReqEvent], out: &mut Vec<String>) {
-    for step in steps {
-        match *step {
-            ReqEvent::SkipBrownout { tier, cap, .. } => out.push(format!(
-                "req {request_id}: skip {} (brownout cap {})",
-                tier.label(),
-                cap.label()
-            )),
-            ReqEvent::SkipBreaker { tier, component, .. } => out.push(format!(
-                "req {request_id}: skip {} (breaker {} open)",
-                tier.label(),
-                component.label()
-            )),
-            ReqEvent::DeadlineBefore { tier, at } => out.push(format!(
-                "req {request_id}: deadline before {} ({at} units)",
-                tier.label()
-            )),
-            ReqEvent::SkipBudget { tier, tier_cost, remaining, .. } => out.push(format!(
-                "req {request_id}: skip {} (cost {tier_cost} over remaining budget {remaining})",
-                tier.label()
-            )),
-            ReqEvent::Attempt { tier, attempt_no, tag, .. } => match tag {
-                AttemptTag::Served => {}
-                AttemptTag::Timeout | AttemptTag::Panic => out.push(format!(
-                    "req {request_id}: {} attempt {attempt_no} failed ({})",
-                    tier.label(),
-                    tag.reason()
-                )),
-                AttemptTag::CrcDegrade | AttemptTag::NanDegrade => out.push(format!(
-                    "req {request_id}: {} degraded ({})",
-                    tier.label(),
-                    tag.reason()
-                )),
-            },
-            ReqEvent::RetriesExhausted { tier, .. } => out.push(format!(
-                "req {request_id}: {} retries exhausted, degrading",
-                tier.label()
-            )),
-            ReqEvent::Backoff { tier, attempt_no, delay, .. } => out.push(format!(
-                "req {request_id}: {} retry {attempt_no} after {delay} units",
-                tier.label()
-            )),
-            ReqEvent::DeadlineInBackoff { tier, at } => out.push(format!(
-                "req {request_id}: deadline during {} backoff ({at} units)",
-                tier.label()
-            )),
-            ReqEvent::NoAffordableTier { budget, .. } => {
-                out.push(format!("req {request_id}: no affordable tier within budget {budget}"))
-            }
-        }
-    }
 }
 
 /// Everything the fold knows about one finished request, handed to
@@ -353,7 +278,7 @@ pub(crate) fn build_trace(input: TraceInput) -> RequestTrace {
                     ],
                 });
             }
-            ReqEvent::SkipBudget { tier, at, .. } => spans.push(TraceSpan {
+            ReqEvent::SkipBudget { tier, at } => spans.push(TraceSpan {
                 name: "skip",
                 parent: Some(0),
                 start: q + at,
@@ -362,10 +287,6 @@ pub(crate) fn build_trace(input: TraceInput) -> RequestTrace {
                 attrs: vec![("tier", AttrValue::Str(tier.label()))],
             }),
             ReqEvent::RetriesExhausted { .. } => flags.degraded = true,
-            // Deadline/dry-ladder terminations are the root span's cause.
-            ReqEvent::DeadlineBefore { .. }
-            | ReqEvent::DeadlineInBackoff { .. }
-            | ReqEvent::NoAffordableTier { .. } => {}
         }
     }
 
@@ -539,90 +460,6 @@ mod tests {
         assert_eq!(a, b);
         let other = MatchRequest { id: 8, ..request() };
         assert_ne!(a, trace_id(&other));
-    }
-
-    /// Every legacy line format, pinned byte-for-byte. These strings are
-    /// load-bearing: chaos/load drills and the service tests grep them.
-    #[test]
-    fn rendered_lines_match_the_legacy_formats_exactly() {
-        let steps = [
-            ReqEvent::SkipBrownout { tier: Tier::Full, cap: Tier::Cached, at: 0 },
-            ReqEvent::SkipBreaker { tier: Tier::Cached, component: Component::FeatureCache, at: 0 },
-            ReqEvent::DeadlineBefore { tier: Tier::Hard, at: 950 },
-            ReqEvent::SkipBudget { tier: Tier::Hard, tier_cost: 250, remaining: 90, at: 310 },
-            ReqEvent::Attempt {
-                tier: Tier::Full,
-                attempt_no: 0,
-                at: 0,
-                units: 900,
-                tag: AttemptTag::Timeout,
-            },
-            ReqEvent::Attempt {
-                tier: Tier::Full,
-                attempt_no: 1,
-                at: 916,
-                units: 400,
-                tag: AttemptTag::Panic,
-            },
-            ReqEvent::Attempt {
-                tier: Tier::Cached,
-                attempt_no: 0,
-                at: 1316,
-                units: 120,
-                tag: AttemptTag::CrcDegrade,
-            },
-            ReqEvent::Attempt {
-                tier: Tier::Hard,
-                attempt_no: 0,
-                at: 1436,
-                units: 250,
-                tag: AttemptTag::NanDegrade,
-            },
-            ReqEvent::Attempt {
-                tier: Tier::Zero,
-                attempt_no: 0,
-                at: 1686,
-                units: 60,
-                tag: AttemptTag::Served,
-            },
-            ReqEvent::RetriesExhausted { tier: Tier::Full, at: 1316 },
-            ReqEvent::Backoff { tier: Tier::Full, attempt_no: 1, at: 900, delay: 16 },
-            ReqEvent::DeadlineInBackoff { tier: Tier::Full, at: 3950 },
-            ReqEvent::NoAffordableTier { budget: 100, at: 80 },
-        ];
-        let mut lines = Vec::new();
-        render_lines(9, &steps, &mut lines);
-        assert_eq!(
-            lines,
-            vec![
-                "req 9: skip full (brownout cap cached)",
-                "req 9: skip cached (breaker feature_cache open)",
-                "req 9: deadline before hard (950 units)",
-                "req 9: skip hard (cost 250 over remaining budget 90)",
-                "req 9: full attempt 0 failed (attempt timeout)",
-                "req 9: full attempt 1 failed (worker panic)",
-                "req 9: cached degraded (row checksum mismatch)",
-                "req 9: hard degraded (non-finite top score)",
-                "req 9: full retries exhausted, degrading",
-                "req 9: full retry 1 after 16 units",
-                "req 9: deadline during full backoff (3950 units)",
-                "req 9: no affordable tier within budget 100",
-            ],
-        );
-    }
-
-    #[test]
-    fn served_attempts_render_no_line() {
-        let steps = [ReqEvent::Attempt {
-            tier: Tier::Full,
-            attempt_no: 0,
-            at: 0,
-            units: 400,
-            tag: AttemptTag::Served,
-        }];
-        let mut lines = Vec::new();
-        render_lines(1, &steps, &mut lines);
-        assert!(lines.is_empty());
     }
 
     #[test]
