@@ -12,6 +12,9 @@
 //!    [`TrainOptions::threads`]; trained parameters must be bitwise equal.
 //! 4. **CrossEM⁺ epoch** — same drill through the PCP/negative-sampling
 //!    path and the shared feature cache.
+//! 5. **CRC-32** — `crc32` on 1 MiB and `Hasher::update_f32s` on a
+//!    shard-sized slice and a dense score row, against a local bytewise
+//!    table loop; every digest must match the reference bit-for-bit.
 //!
 //! Results land in `BENCH_perf.json`. Honours `--quick`; `--smoke` is the
 //! same scale with the large GEMM sizes dropped (for CI).
@@ -21,7 +24,7 @@ use std::time::Instant;
 
 use cem_bench::{default_plus, prepare, HarnessConfig, PreparedBundle};
 use cem_data::DatasetKind;
-use cem_tensor::{kernels, par};
+use cem_tensor::{crc, kernels, par};
 use crossem::plus::minibatch::pairwise_proximity;
 use crossem::plus::CrossEmPlus;
 use crossem::trainer::TrainOptions;
@@ -47,6 +50,31 @@ fn naive_gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize)
             }
         }
     }
+}
+
+/// One-byte-per-step CRC-32 table, as the seed's kernel built it.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// The seed's CRC-32, kept as the baseline the sliced kernel is measured
+/// and checked against: one table lookup per byte.
+fn bytewise_crc32(bytes: impl IntoIterator<Item = u8>) -> u32 {
+    !bytes
+        .into_iter()
+        .fold(!0u32, |crc, b| (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize])
 }
 
 /// Deterministic pseudo-random matrix fill (xorshift; no rand dependency
@@ -178,6 +206,73 @@ fn scaling_verdict(row: &GemmRow, required: f64) -> (bool, String) {
             ),
         )
     }
+}
+
+struct CrcRow {
+    input: &'static str,
+    bytes: usize,
+    bytewise_mb_s: f64,
+    sliced_mb_s: f64,
+    identical: bool,
+}
+
+/// Throughput of `hash` in MB/s: median of 5 reps, each repeating it over
+/// about 8 MiB.
+fn crc_mb_s(bytes: usize, mut hash: impl FnMut() -> u32) -> f64 {
+    let iters = ((8 << 20) / bytes).max(1);
+    let ms = bench_ms(5, || {
+        for _ in 0..iters {
+            std::hint::black_box(hash());
+        }
+    });
+    (bytes * iters) as f64 / 1e3 / ms
+}
+
+fn drill_crc() -> Vec<CrcRow> {
+    let mib: Vec<u8> = fill(0xC4C, 1 << 18).iter().flat_map(|v| v.to_le_bytes()).collect();
+    // A 100k-image, 256-cluster, dim-64 shard is ~390 rows × 64 values; a
+    // dense score row is 192 images.
+    let shard = fill(0x5A4D, 390 * 64);
+    let row = fill(0x40E, 192);
+    let mut rows = Vec::new();
+    let sliced_bytes = || crc::crc32(std::hint::black_box(&mib));
+    let bytewise_bytes = || bytewise_crc32(std::hint::black_box(&mib).iter().copied());
+    rows.push(CrcRow {
+        input: "crc32_1mib",
+        bytes: mib.len(),
+        bytewise_mb_s: crc_mb_s(mib.len(), bytewise_bytes),
+        sliced_mb_s: crc_mb_s(mib.len(), sliced_bytes),
+        identical: sliced_bytes() == bytewise_bytes(),
+    });
+    for (input, values) in [("update_f32s_shard", &shard), ("update_f32s_row", &row)] {
+        let sliced = || {
+            let mut hasher = crc::Hasher::new();
+            hasher.update_f32s(std::hint::black_box(values));
+            hasher.finalize()
+        };
+        let bytewise =
+            || bytewise_crc32(std::hint::black_box(values).iter().flat_map(|v| v.to_le_bytes()));
+        let bytes = values.len() * 4;
+        rows.push(CrcRow {
+            input,
+            bytes,
+            bytewise_mb_s: crc_mb_s(bytes, bytewise),
+            sliced_mb_s: crc_mb_s(bytes, sliced),
+            identical: sliced() == bytewise(),
+        });
+    }
+    for r in &rows {
+        eprintln!(
+            "[crc] {} ({} B): bytewise {:.0} MB/s | sliced {:.0} MB/s ({:.1}x), bit-identical: {}",
+            r.input,
+            r.bytes,
+            r.bytewise_mb_s,
+            r.sliced_mb_s,
+            r.sliced_mb_s / r.bytewise_mb_s,
+            r.identical,
+        );
+    }
+    rows
 }
 
 struct TrainedEpoch {
@@ -338,6 +433,10 @@ fn main() {
         plus_runs[0].seconds, plus_runs[1].seconds, plus_runs[2].seconds,
     );
 
+    eprintln!("[perf 5] CRC-32 kernel vs the bytewise seed loop …");
+    let crc_rows = drill_crc();
+    let crc_bit_identical = crc_rows.iter().all(|r| r.identical);
+
     // ---------------------------------------------------------------
     // Summary + BENCH_perf.json
     // ---------------------------------------------------------------
@@ -364,13 +463,15 @@ fn main() {
         && cache_consistent
         && em_identical
         && plus_identical
+        && crc_bit_identical
         && (!scaling_applicable || scaling_ok);
     println!(
         "\nperf drill: GEMM {gemm_speedup:.2}x vs naive at {}³ ({} tier), cache hit {:.0}x \
-         cheaper than recompute, determinism {}",
+         cheaper than recompute, CRC-32 {:.1}x vs bytewise on 1 MiB, determinism {}",
         gemm_rows.last().map(|r| r.n).unwrap_or(0),
         gemm_rows.last().map(|r| r.auto_tier).unwrap_or("?"),
         cache_miss_ms / cache_hit_ms.max(1e-6),
+        crc_rows[0].sliced_mb_s / crc_rows[0].bytewise_mb_s,
         if all_pass { "ALL PASS" } else { "FAILURES" },
     );
 
@@ -440,6 +541,22 @@ fn main() {
     let _ = writeln!(json, "  \"crossem_plus_epoch_t2_s\": {:.4},", plus_runs[1].seconds);
     let _ = writeln!(json, "  \"crossem_plus_epoch_t4_s\": {:.4},", plus_runs[2].seconds);
     let _ = writeln!(json, "  \"crossem_plus_bit_identical\": {plus_identical},");
+    let _ = writeln!(json, "  \"crc\": [");
+    for (i, row) in crc_rows.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"input\": \"{}\", \"bytes\": {}, \"bytewise_mb_per_s\": {:.1}, \
+             \"sliced_mb_per_s\": {:.1}, \"speedup\": {:.2}}}{}",
+            row.input,
+            row.bytes,
+            row.bytewise_mb_s,
+            row.sliced_mb_s,
+            row.sliced_mb_s / row.bytewise_mb_s,
+            if i + 1 < crc_rows.len() { "," } else { "" },
+        );
+    }
+    let _ = writeln!(json, "  ],");
+    let _ = writeln!(json, "  \"crc_bit_identical\": {crc_bit_identical},");
     let _ = writeln!(json, "  \"obs_counters\": {{");
     let _ = writeln!(
         json,

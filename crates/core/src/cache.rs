@@ -147,9 +147,15 @@ fn record_lookup(stage: &'static str, outcome: &'static str) {
 fn fingerprint(clip: &Clip, dataset: &EmDataset) -> u64 {
     let mut lo = Hasher::new();
     let mut hi = Hasher::new();
+    // The hi lane hashes every fed item byte-reversed (an f32 value
+    // big-endian), so the two lanes see different streams. One scratch
+    // buffer holds the reversed bytes for every feed.
+    let mut reversed = Vec::new();
     let mut feed = |bytes: &[u8]| {
         lo.update(bytes);
-        hi.update(&bytes.iter().rev().copied().collect::<Vec<u8>>());
+        reversed.clear();
+        reversed.extend(bytes.iter().rev());
+        hi.update(&reversed);
     };
 
     feed(dataset.name.as_bytes());
@@ -158,20 +164,24 @@ fn fingerprint(clip: &Clip, dataset: &EmDataset) -> u64 {
     for v in dataset.graph.vertices() {
         feed(dataset.graph.vertex_label(v).as_bytes());
     }
+    // Values are fed a slice at a time: the same byte streams as feeding
+    // each value on its own.
+    let mut feed_values = |values: &[f32]| {
+        lo.update_f32s(values);
+        reversed.clear();
+        reversed.extend(values.iter().flat_map(|v| v.to_be_bytes()));
+        hi.update(&reversed);
+    };
     for image in &dataset.images {
         for p in 0..image.n_patches() {
-            for value in image.patch(p) {
-                feed(&value.to_le_bytes());
-            }
+            feed_values(image.patch(p));
         }
     }
     // Encoder weights: frozen features depend on the *current* parameter
     // values, so mutated weights miss rather than alias a stale entry.
     for params in [clip.text.params(), clip.image.params()] {
         for p in params {
-            for value in p.to_vec() {
-                feed(&value.to_le_bytes());
-            }
+            feed_values(&p.to_vec());
         }
     }
     ((hi.finalize() as u64) << 32) | lo.finalize() as u64
@@ -251,6 +261,14 @@ mod tests {
         cache.proximity(&clip, &tokenizer, &dataset, 1);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 4, "expected feature+proximity misses for both keys");
+    }
+
+    /// Pinned at the value the per-feed-allocating hash produced, so the
+    /// scratch-buffer rewrite keeps every existing cache key.
+    #[test]
+    fn fingerprint_is_pinned() {
+        let (clip, _, dataset) = world();
+        assert_eq!(fingerprint(&clip, &dataset), 0xD840_9C7E_EE62_E671);
     }
 
     #[test]

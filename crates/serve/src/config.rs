@@ -108,9 +108,9 @@ pub struct ServeConfig {
     /// bit-identical (the packed kernel's schedule depends only on `dim`).
     pub min_batch: usize,
     /// Integrity-scrub budget: CRC sections verified per wave boundary by
-    /// the online scrubber (dense tier rows, shard panels, and the on-disk
-    /// latest/prev generation files — see `cem-serve::scrub` /
-    /// DESIGN.md §14). `0` disables scrubbing. Purely background work: the
+    /// the online scrubber (dense tier rows, shard posting lists and
+    /// embeddings, and the on-disk latest/prev generation files — see
+    /// `cem-serve::scrub` / DESIGN.md §14). `0` disables scrubbing. Purely background work: the
     /// scrubber never touches request scoring, only quarantine state.
     pub scrub_sections_per_wave: usize,
     pub retry: RetryConfig,

@@ -2,11 +2,12 @@
 //! CRC-covered section the service depends on (DESIGN.md §14).
 //!
 //! Bit rot does not wait for a request to probe the damaged bytes. The
-//! scrubber walks a fixed circular section layout — dense tier rows, shard
-//! panels, then the on-disk latest/prev generation files — verifying up to
-//! [`ServeConfig::scrub_sections_per_wave`](crate::ServeConfig) sections at
-//! each wave boundary, so corruption is *found* within one full cycle
-//! instead of whenever traffic happens to touch it.
+//! scrubber walks a fixed circular section layout — dense tier rows, shards
+//! (posting list + embeddings; the packed GEMM panel derived from them is
+//! not CRC-covered), then the on-disk latest/prev generation files —
+//! verifying up to [`ServeConfig::scrub_sections_per_wave`](crate::ServeConfig)
+//! sections at each wave boundary, so corruption is *found* within one full
+//! cycle instead of whenever traffic happens to touch it.
 //!
 //! Determinism contract: the scrub cursor advances purely with wave
 //! boundaries (never wall clock), the section layout is a pure function of
@@ -26,7 +27,7 @@ use crate::tiers::{ServeIndex, Tier};
 pub enum ScrubFinding {
     /// A dense tier row no longer matches its build-time CRC.
     DenseRow { tier: Tier, entity: usize },
-    /// A shard's posting list or embedding panel fails its checksum.
+    /// A shard's posting list or embeddings fail its checksum.
     ShardCluster { cluster: usize },
     /// An on-disk generation file fails its container CRCs or decode.
     DiskGeneration { file: StoreFile },

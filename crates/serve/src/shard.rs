@@ -63,8 +63,8 @@ const MAX_IMAGES: usize = 1 << 24;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardError {
     /// A shard's recomputed checksum does not match its stored CRC — the
-    /// posting list or embedding panel is damaged. Serving falls back to
-    /// the dense tier.
+    /// posting list or embeddings are damaged. Serving falls back to the
+    /// dense tier.
     Corrupt { shard: usize },
     /// The container parsed but lacks a required shard entry or meta key.
     MissingEntry(String),
@@ -78,7 +78,7 @@ impl fmt::Display for ShardError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ShardError::Corrupt { shard } => {
-                write!(f, "shard {shard} failed its checksum (corrupt posting list or panel)")
+                write!(f, "shard {shard} failed its checksum (corrupt posting list or embeddings)")
             }
             ShardError::MissingEntry(name) => {
                 write!(f, "shard sections are missing required entry {name:?}")
@@ -98,6 +98,7 @@ impl std::error::Error for ShardError {}
 /// One cluster's slice of the gallery: the posting list of image ids, the
 /// member embeddings (row-major `[len × dim]`), a CRC-32 over both, and the
 /// embeddings re-packed once into a resident panel for the packed GEMM.
+/// The panel is derived from the embeddings and not covered by the CRC.
 pub struct Shard {
     ids: Vec<u32>,
     embeddings: Vec<f32>,
@@ -141,12 +142,8 @@ impl Shard {
 /// CRC-32 over a shard's posting list and embedding payload (LE bytes).
 fn shard_checksum(ids: &[u32], embeddings: &[f32]) -> u32 {
     let mut hasher = cem_tensor::crc::Hasher::new();
-    for &id in ids {
-        hasher.update(&id.to_le_bytes());
-    }
-    for &v in embeddings {
-        hasher.update(&v.to_le_bytes());
-    }
+    hasher.update_u32s(ids);
+    hasher.update_f32s(embeddings);
     hasher.finalize()
 }
 
@@ -792,6 +789,47 @@ mod tests {
         let slots: Vec<usize> = (0..index.entities()).collect();
         let err = index.score_wave(&slots, index.nclusters(), 2, 10, 1).unwrap_err();
         assert_eq!(err, ShardError::Corrupt { shard: victim });
+    }
+
+    /// Shard CRCs pinned at the bytewise kernel the word-hashing path
+    /// replaced: stored `shard.<i>.crc` values keep validating.
+    #[test]
+    fn shard_crcs_are_pinned() {
+        let index = small_index();
+        let crcs: Vec<u32> = (0..index.nclusters()).map(|c| index.shard(c).crc()).collect();
+        assert_eq!(crcs, [0x6E4A_0862, 0x2B86_B74E, 0x6E83_3BAE, 0xF50E_6A51, 0x36C1_67BB]);
+    }
+
+    /// Shards big enough for the CRC's three-lane path (≥ 1,536 bytes per
+    /// `update`): one flipped bit inside any lane's third of the embedding
+    /// payload fails the wave and the decode.
+    #[test]
+    fn a_flipped_bit_in_every_crc_lane_is_caught() {
+        let build = || {
+            let (images, entities, dim) = (600, 4, 16);
+            let embeddings = blobs(images, dim, 3, 31);
+            let queries = blobs(entities, dim, 3, 32);
+            ShardedIndex::build(queries, entities, &embeddings, images, dim, 3, 8, 9)
+        };
+        let slots: Vec<usize> = (0..4).collect();
+        for lane in 0..3 {
+            let mut index = build();
+            let victim = (0..index.nclusters()).max_by_key(|&c| index.shard(c).len()).unwrap();
+            let embeddings = &mut index.shards[victim].embeddings;
+            assert!(embeddings.len() * 4 >= 1536, "payload below the three-lane threshold");
+            let at = lane * embeddings.len() / 3 + embeddings.len() / 6;
+            embeddings[at] = f32::from_bits(embeddings[at].to_bits() ^ (1 << (at % 32)));
+            assert_eq!(
+                index.score_wave(&slots, index.nclusters(), 2, 10, 1).unwrap_err(),
+                ShardError::Corrupt { shard: victim },
+                "lane {lane}: score_wave"
+            );
+            assert_eq!(
+                ShardedIndex::from_state_dict(&index.to_state_dict()).map(|_| ()).unwrap_err(),
+                ShardError::Corrupt { shard: victim },
+                "lane {lane}: read_state_dict"
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use cem_clip::{Clip, Image, Tokenizer};
 use cem_data::EmDataset;
-use cem_tensor::crc::crc32;
+use cem_tensor::crc::Hasher;
 use cem_tensor::{no_grad, Tensor};
 use crossem::prompt::{baseline_prompt, hard_prompt, HardPromptOptions};
 use crossem::FeatureCache;
@@ -141,11 +141,9 @@ impl ServeIndex {
 
 /// CRC-32 over a score row's little-endian f32 bytes.
 pub fn row_checksum(row: &[f32]) -> u32 {
-    let mut bytes = Vec::with_capacity(row.len() * 4);
-    for v in row {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    crc32(&bytes)
+    let mut hasher = Hasher::new();
+    hasher.update_f32s(row);
+    hasher.finalize()
 }
 
 /// Score every entity prompt against every image with the frozen dual

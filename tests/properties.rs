@@ -246,11 +246,15 @@ proptest! {
 }
 
 /// Exhaustive, not sampled: *every* single-byte flip anywhere in a v2
-/// container — header, entry payloads, CRCs, footer — must be caught.
+/// container — header, entry payloads, CRCs, footer — must be caught. The
+/// 9 KiB entry takes the CRC's three-lane path, the small ones one lane.
 #[test]
 fn cemt_v2_every_single_byte_flip_is_caught() {
-    let dict = build_dict(3, 2, 3, 42, true);
+    let mut dict = build_dict(3, 2, 3, 42, true);
+    let large: Vec<f32> = (0..48 * 48).map(|i| i as f32 * 0.25 - 288.0).collect();
+    dict.insert("entry.large", Tensor::from_vec(large, &[48, 48]));
     let bytes = dict.to_bytes();
+    assert!(bytes.len() >= 8 * 1024);
     for offset in 0..bytes.len() {
         let mut bad = bytes.clone();
         bad[offset] ^= 0xFF;
