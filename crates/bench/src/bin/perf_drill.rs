@@ -1,5 +1,5 @@
 //! Performance drills for the parallel kernel layer and the frozen-feature
-//! cache (see DESIGN.md, "Performance"). Four sections, each with timings
+//! cache (see DESIGN.md, "Performance"). Six sections, each with timings
 //! and — wherever parallelism is involved — a hard bit-identity verdict:
 //!
 //! 1. **GEMM kernels** — the blocked register-tiled kernel vs a local
@@ -15,6 +15,10 @@
 //! 5. **CRC-32** — `crc32` on 1 MiB and `Hasher::update_f32s` on a
 //!    shard-sized slice and a dense score row, against a local bytewise
 //!    table loop; every digest must match the reference bit-for-bit.
+//! 6. **Ranking** — `rank_row` on 192-wide dense rows and on a 100k row,
+//!    and the key selection over shard-sized probe candidate sets, against
+//!    a local reference sort on scores with ties, NaN and both zeros;
+//!    every ranking must equal the reference's.
 //!
 //! Results land in `BENCH_perf.json`. Honours `--quick`; `--smoke` is the
 //! same scale with the large GEMM sizes dropped (for CI).
@@ -25,6 +29,7 @@ use std::time::Instant;
 use cem_bench::{default_plus, prepare, HarnessConfig, PreparedBundle};
 use cem_data::DatasetKind;
 use cem_tensor::{crc, kernels, par};
+use crossem::matcher::{key_id, rank_key, rank_row, score_cmp, select_top};
 use crossem::plus::minibatch::pairwise_proximity;
 use crossem::plus::CrossEmPlus;
 use crossem::trainer::TrainOptions;
@@ -275,6 +280,112 @@ fn drill_crc() -> Vec<CrcRow> {
     rows
 }
 
+struct RankRow {
+    input: &'static str,
+    n: usize,
+    k: usize,
+    reference_us: f64,
+    kernel_us: f64,
+    identical: bool,
+}
+
+/// The order every ranking kernel must reproduce, by its definition:
+/// candidates stable-sorted by `score_cmp` descending, so equal scores
+/// keep ascending id order; the first `k` ids (0 = all).
+fn reference_rank(mut candidates: Vec<(usize, f32)>, k: usize) -> Vec<usize> {
+    candidates.sort_by(|a, b| score_cmp(b.1, a.1).then(a.0.cmp(&b.0)));
+    let keep = if k == 0 { candidates.len() } else { k.min(candidates.len()) };
+    candidates[..keep].iter().map(|&(id, _)| id).collect()
+}
+
+/// Scores a ranking must order exactly: duplicates, NaN and both zeros
+/// mixed into a pseudo-random fill.
+fn rank_scores(seed: u64, len: usize) -> Vec<f32> {
+    let mut scores = fill(seed, len);
+    for i in (0..len).step_by(31) {
+        scores[i] = scores[i / 2];
+    }
+    for (start, value) in [(5, f32::NAN), (7, -0.0), (11, 0.0)] {
+        for i in (start..len).step_by(97) {
+            scores[i] = value;
+        }
+    }
+    scores
+}
+
+/// Median-of-5 microseconds per call of `rank` over every input set,
+/// repeated `rounds` times per rep.
+fn rank_us<T>(inputs: &[T], rounds: usize, mut rank: impl FnMut(&T) -> Vec<usize>) -> f64 {
+    let ms = bench_ms(5, || {
+        for _ in 0..rounds {
+            for input in inputs {
+                std::hint::black_box(rank(std::hint::black_box(input)));
+            }
+        }
+    });
+    ms * 1e3 / (rounds * inputs.len()) as f64
+}
+
+fn drill_rank() -> Vec<RankRow> {
+    let mut rows = Vec::new();
+    // Dense tiers: 48 entities × 192 images, served at top_k 10; the
+    // evaluation ranks whole rows (k = 0). One 100k-image row.
+    let dense: Vec<Vec<f32>> = (0..48).map(|e| rank_scores(0x4A4E + e, 192)).collect();
+    let wide = vec![rank_scores(0x100C, 100_000)];
+    for (input, scores, k, rounds) in [
+        ("rank_row_192_top10", &dense, 10, 100),
+        ("rank_row_192_all", &dense, 0, 20),
+        ("rank_row_100k_top10", &wide, 10, 2),
+    ] {
+        let kernel = |row: &Vec<f32>| rank_row(row, k);
+        let reference = |row: &Vec<f32>| reference_rank(row.iter().copied().enumerate().collect(), k);
+        rows.push(RankRow {
+            input,
+            n: scores[0].len(),
+            k,
+            reference_us: rank_us(scores, rounds, reference),
+            kernel_us: rank_us(scores, rounds, kernel),
+            identical: scores.iter().all(|row| kernel(row) == reference(row)),
+        });
+    }
+    // A `serve_shard` request's probe candidates: 16 of 256 clusters over
+    // 100k images, about 6.4k distinct image ids in cluster order.
+    let candidates: Vec<Vec<(usize, f32)>> = (0..8)
+        .map(|set| {
+            let scores = rank_scores(0xCA4D + set, 6_400);
+            let ids = (0..scores.len()).map(|i| (i * 7_919 + set as usize) % 100_003);
+            ids.zip(scores).collect()
+        })
+        .collect();
+    let kernel = |set: &Vec<(usize, f32)>| {
+        let mut keys: Vec<u64> = set.iter().map(|&(id, score)| rank_key(score, id)).collect();
+        select_top(&mut keys, 10).iter().map(|&key| key_id(key)).collect()
+    };
+    let reference = |set: &Vec<(usize, f32)>| reference_rank(set.clone(), 10);
+    rows.push(RankRow {
+        input: "shard_candidates_6400_top10",
+        n: 6_400,
+        k: 10,
+        reference_us: rank_us(&candidates, 5, reference),
+        kernel_us: rank_us(&candidates, 5, kernel),
+        identical: candidates.iter().all(|set| kernel(set) == reference(set)),
+    });
+    for r in &rows {
+        eprintln!(
+            "[rank] {} (n {}, k {}): reference sort {:.2} us | kernel {:.2} us ({:.1}x), \
+             identical: {}",
+            r.input,
+            r.n,
+            r.k,
+            r.reference_us,
+            r.kernel_us,
+            r.reference_us / r.kernel_us,
+            r.identical,
+        );
+    }
+    rows
+}
+
 struct TrainedEpoch {
     seconds: f64,
     params: Vec<Vec<f32>>,
@@ -437,6 +548,10 @@ fn main() {
     let crc_rows = drill_crc();
     let crc_bit_identical = crc_rows.iter().all(|r| r.identical);
 
+    eprintln!("[perf 6] ranking kernel vs a reference sort …");
+    let rank_rows = drill_rank();
+    let rank_identical = rank_rows.iter().all(|r| r.identical);
+
     // ---------------------------------------------------------------
     // Summary + BENCH_perf.json
     // ---------------------------------------------------------------
@@ -464,6 +579,7 @@ fn main() {
         && em_identical
         && plus_identical
         && crc_bit_identical
+        && rank_identical
         && (!scaling_applicable || scaling_ok);
     println!(
         "\nperf drill: GEMM {gemm_speedup:.2}x vs naive at {}³ ({} tier), cache hit {:.0}x \
@@ -557,6 +673,23 @@ fn main() {
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"crc_bit_identical\": {crc_bit_identical},");
+    let _ = writeln!(json, "  \"rank\": [");
+    for (i, row) in rank_rows.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"input\": \"{}\", \"n\": {}, \"k\": {}, \"reference_us\": {:.3}, \
+             \"kernel_us\": {:.3}, \"speedup\": {:.2}}}{}",
+            row.input,
+            row.n,
+            row.k,
+            row.reference_us,
+            row.kernel_us,
+            row.reference_us / row.kernel_us,
+            if i + 1 < rank_rows.len() { "," } else { "" },
+        );
+    }
+    let _ = writeln!(json, "  ],");
+    let _ = writeln!(json, "  \"rank_identical\": {rank_identical},");
     let _ = writeln!(json, "  \"obs_counters\": {{");
     let _ = writeln!(
         json,

@@ -1,5 +1,20 @@
 //! Matching probabilities (Eq. 4), image ranking, and matching-set
 //! extraction (Def. 2's set `S`).
+//!
+//! # Ranking kernel
+//!
+//! Every ranking in the workspace — a dense score row ([`rank_row`]), the
+//! candidates of a probed shard wave, the centroids a probe keeps — uses
+//! one order: score descending under [`score_cmp`] (NaN last), then id
+//! ascending. That order has one integer form. `score_key` maps a score
+//! to an order-preserving `u32` (every NaN to 0, every other score through
+//! the `total_cmp` bit trick), and [`rank_key`] packs a candidate into one
+//! `u64`: the score key in the high half, the inverted id in the low half.
+//! A larger key ranks first, and equal scores rank the lower id first.
+//! [`select_top`] ranks a buffer of keys with `select_nth_unstable` and a
+//! sort of the `keep` survivors. Ids are unique, so no two keys are equal
+//! and the unstable algorithms give one answer for any input, poisoned or
+//! not.
 
 use std::cmp::Ordering;
 
@@ -19,94 +34,66 @@ pub fn score_cmp(a: f32, b: f32) -> Ordering {
     }
 }
 
+/// The order of [`score_cmp`] as a `u32`:
+/// `score_cmp(a, b) == score_key(a).cmp(&score_key(b))`. Every NaN maps to
+/// 0. Any other score keeps its bits with the sign bit set when it is
+/// positive and has all bits flipped when it is negative, so −0.0 ranks
+/// below +0.0 and no non-NaN score maps to 0.
+#[inline]
+fn score_key(score: f32) -> u32 {
+    let bits = score.to_bits();
+    let key = bits ^ ((((bits as i32) >> 31) as u32) | (1 << 31));
+    if score.is_nan() {
+        0
+    } else {
+        key
+    }
+}
+
+/// One candidate's ranking key: `score_key` in the high half and the
+/// inverted `id` in the low half, so a larger key ranks first and equal
+/// scores rank the lower id first. Ids must fit in a `u32`.
+#[inline]
+pub fn rank_key(score: f32, id: usize) -> u64 {
+    debug_assert!(u32::try_from(id).is_ok(), "rank_key: id {id} does not fit in u32");
+    (u64::from(score_key(score)) << 32) | u64::from(!(id as u32))
+}
+
+/// The id a [`rank_key`] carries.
+#[inline]
+pub fn key_id(key: u64) -> usize {
+    !(key as u32) as usize
+}
+
+/// Whether the score a [`rank_key`] was made from is finite.
+pub fn key_is_finite(key: u64) -> bool {
+    let score = (key >> 32) as u32;
+    score > score_key(f32::NEG_INFINITY) && score < score_key(f32::INFINITY)
+}
+
+/// Rank [`rank_key`]s best first, truncated to `top_k` (0 = keep all):
+/// moves the best `keep` keys to the front of `keys` in ranking order and
+/// returns them. One partition pass finds the survivors; only they are
+/// sorted.
+pub fn select_top(keys: &mut [u64], top_k: usize) -> &[u64] {
+    let keep = if top_k == 0 { keys.len() } else { top_k.min(keys.len()) };
+    let best_first = |a: &u64, b: &u64| b.cmp(a);
+    if keep < keys.len() {
+        keys.select_nth_unstable_by(keep - 1, best_first);
+    }
+    let top = &mut keys[..keep];
+    top.sort_unstable_by(best_first);
+    top
+}
+
 /// Rank the image indices of one score row, best first, truncated to
 /// `top_k` (0 = keep all). NaN scores sort last; ties keep index order, so
 /// the ranking is a deterministic permutation prefix for *any* input,
-/// poisoned or not.
-///
-/// When `top_k` is small relative to the row (the serving path only ever
-/// needs top-k of a 100k-image gallery), a bounded worst-first heap does a
-/// single O(n log k) pass instead of sorting the whole row. Both paths rank
-/// under the identical total order — (score desc by [`score_cmp`], then
-/// index asc) — and indices are unique, so the selected prefix is exactly
-/// the full-sort prefix.
+/// poisoned or not. The result is allocated at exactly its length.
 pub fn rank_row(row: &[f32], top_k: usize) -> Vec<usize> {
-    let keep = if top_k == 0 { row.len() } else { top_k.min(row.len()) };
-    // Heap bookkeeping only pays for itself when most of the row is
-    // discarded; at keep ≥ n/4 the full sort's cache-friendly sweep wins.
-    if keep > 0 && keep <= row.len() / 4 {
-        return rank_row_partial(row, keep);
-    }
-    let mut idx: Vec<usize> = (0..row.len()).collect();
-    idx.sort_by(|&a, &b| score_cmp(row[b], row[a]));
-    idx.truncate(keep);
-    idx
-}
-
-/// `a` ranks strictly ahead of `b` under the ranking order of [`rank_row`]:
-/// higher score first ([`score_cmp`] total order, NaN sinking), lower index
-/// first on exact ties. Indices are unique, so this is a strict total order.
-#[inline]
-fn outranks(row: &[f32], a: usize, b: usize) -> bool {
-    match score_cmp(row[a], row[b]) {
-        Ordering::Greater => true,
-        Ordering::Less => false,
-        Ordering::Equal => a < b,
-    }
-}
-
-/// Bounded worst-first (min-)heap select of the top `keep` indices. The
-/// heap root is the worst kept candidate; a new index replaces it only when
-/// it strictly outranks it. Extraction sorts the `keep` survivors best
-/// first — identical output to the full-sort path of [`rank_row`].
-fn rank_row_partial(row: &[f32], keep: usize) -> Vec<usize> {
-    debug_assert!(keep >= 1 && keep <= row.len());
-    // `heap[p]` is worse than both children ⇒ `heap[0]` is the worst kept.
-    let mut heap: Vec<usize> = Vec::with_capacity(keep);
-    let worse = |a: usize, b: usize| outranks(row, b, a);
-    for i in 0..row.len() {
-        if heap.len() < keep {
-            heap.push(i);
-            // Sift up.
-            let mut child = heap.len() - 1;
-            while child > 0 {
-                let parent = (child - 1) / 2;
-                if worse(heap[child], heap[parent]) {
-                    heap.swap(child, parent);
-                    child = parent;
-                } else {
-                    break;
-                }
-            }
-        } else if outranks(row, i, heap[0]) {
-            heap[0] = i;
-            // Sift down.
-            let mut parent = 0usize;
-            loop {
-                let (l, r) = (2 * parent + 1, 2 * parent + 2);
-                let mut worst = parent;
-                if l < keep && worse(heap[l], heap[worst]) {
-                    worst = l;
-                }
-                if r < keep && worse(heap[r], heap[worst]) {
-                    worst = r;
-                }
-                if worst == parent {
-                    break;
-                }
-                heap.swap(parent, worst);
-                parent = worst;
-            }
-        }
-    }
-    heap.sort_unstable_by(|&a, &b| {
-        if outranks(row, a, b) {
-            Ordering::Less
-        } else {
-            Ordering::Greater
-        }
-    });
-    heap
+    assert!(row.len() as u64 <= 1 << 32, "rank_row: a row holds at most 2^32 images");
+    let mut keys: Vec<u64> = row.iter().enumerate().map(|(i, &s)| rank_key(s, i)).collect();
+    select_top(&mut keys, top_k).iter().map(|&key| key_id(key)).collect()
 }
 
 /// Rank image indices for every query row of a score matrix `[N, M]`,
@@ -183,6 +170,7 @@ impl MatchingSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn scores() -> Tensor {
         Tensor::from_vec(vec![0.1, 0.7, 0.2, 0.5, 0.3, 0.2], &[2, 3])
@@ -253,12 +241,74 @@ mod tests {
         assert_eq!(rank_row(&row, 2), vec![2, 0]);
     }
 
-    /// The bounded-heap path must return exactly the full-sort prefix on
-    /// adversarial rows: duplicates (index ties), NaN poison, ±0.0, and
-    /// every cutoff k — including k small enough to take the heap path and
-    /// k large enough to take the sort path.
+    /// The independent oracle: every index, stable-sorted by [`score_cmp`]
+    /// descending, so equal scores keep ascending index order.
+    fn reference(row: &[f32]) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..row.len()).collect();
+        idx.sort_by(|&a, &b| score_cmp(row[b], row[a]));
+        idx
+    }
+
+    /// NaN payloads of both signs, both zeros, both infinities, a
+    /// subnormal and a few ordinary scores: the values a poisoned or tied
+    /// row is made of.
+    const PALETTE: [f32; 12] = [
+        f32::NAN,
+        -f32::NAN,
+        f32::from_bits(0x7F80_0001),
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1e-40,
+        0.5,
+        -0.5,
+        1.0,
+        f32::MAX,
+    ];
+
+    /// A row of palette entries (many duplicates) and arbitrary bit
+    /// patterns.
+    fn row_of(picks: &[(usize, u32)]) -> Vec<f32> {
+        picks
+            .iter()
+            .map(|&(i, bits)| PALETTE.get(i).copied().unwrap_or(f32::from_bits(bits)))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn rank_row_is_the_reference_prefix_for_every_k(
+            picks in prop::collection::vec((0usize..16, 0u32..=u32::MAX), 0..48),
+        ) {
+            let row = row_of(&picks);
+            let full = reference(&row);
+            for k in 0..=row.len() {
+                let ranking = rank_row(&row, k);
+                let keep = if k == 0 { row.len() } else { k };
+                prop_assert_eq!(&ranking[..], &full[..keep], "k = {}, row = {:?}", k, row);
+                prop_assert_eq!(ranking.capacity(), ranking.len());
+            }
+        }
+
+        #[test]
+        fn score_keys_order_like_score_cmp(
+            a in (0usize..16, 0u32..=u32::MAX),
+            b in (0usize..16, 0u32..=u32::MAX),
+        ) {
+            let (x, y) = (row_of(&[a])[0], row_of(&[b])[0]);
+            prop_assert_eq!(score_key(x).cmp(&score_key(y)), score_cmp(x, y), "{} vs {}", x, y);
+            prop_assert_eq!(key_is_finite(rank_key(x, 7)), x.is_finite());
+            prop_assert_eq!(key_id(rank_key(y, 3_000_000)), 3_000_000);
+        }
+    }
+
+    /// Whole rows of one score or of NaN, a NaN every fifth index, signed
+    /// zeros between infinities: every cutoff `k` is the oracle's prefix.
     #[test]
-    fn partial_select_matches_full_sort_prefix() {
+    fn adversarial_rows_match_the_reference_for_every_k() {
         let mut rows: Vec<Vec<f32>> = vec![
             vec![0.5; 64],
             (0..64).map(|i| (i as f32 * 0.37).sin()).collect(),
@@ -270,15 +320,30 @@ mod tests {
         zeros[11] = f32::NEG_INFINITY;
         rows.push(zeros);
         for row in &rows {
-            let full = {
-                let mut idx: Vec<usize> = (0..row.len()).collect();
-                idx.sort_by(|&a, &b| score_cmp(row[b], row[a]));
-                idx
-            };
+            let full = reference(row);
             for k in 1..=row.len() {
                 assert_eq!(rank_row(row, k), full[..k].to_vec(), "k={k} row={row:?}");
-                assert_eq!(rank_row_partial(row, k), full[..k].to_vec(), "partial k={k}");
             }
+        }
+    }
+
+    #[test]
+    fn score_keys_pin_the_edges() {
+        assert_eq!(score_key(f32::NAN), 0);
+        assert_eq!(score_key(-f32::NAN), 0, "every NaN maps to 0");
+        assert!(score_key(f32::NEG_INFINITY) > 0, "no other score maps to 0");
+        assert!(score_key(-0.0) < score_key(0.0));
+        assert_eq!(score_key(f32::INFINITY), u32::MAX - 0x7F_FFFF);
+        assert!(rank_key(0.5, 3) > rank_key(0.5, 4), "ties rank the lower id first");
+        assert!(rank_key(0.5, u32::MAX as usize) > rank_key(0.25, 0));
+    }
+
+    #[test]
+    fn rankings_are_allocated_at_their_length() {
+        let row: Vec<f32> = (0..192).map(|i| (i as f32 * 0.37).sin()).collect();
+        for k in [1, 10, 48, 191, 192, 0] {
+            let ranking = rank_row(&row, k);
+            assert_eq!(ranking.capacity(), ranking.len(), "k = {k}");
         }
     }
 

@@ -1173,8 +1173,10 @@ fn attempt_tier(
     }
 }
 
-/// Score `entity` at `tier` over a local copy of the index row, realising
-/// the injected fault on the copy (the shared index stays pristine).
+/// Score `entity` at `tier`: verify the index row against its stored
+/// checksum and rank it where it lies. Only an injected fault that changes
+/// the row (`NanFeatures`, `CorruptCache`) is realised on a local copy, so
+/// the shared index stays pristine.
 fn score_tier(
     index: &ServeIndex,
     entity: usize,
@@ -1207,30 +1209,28 @@ fn score_tier(
             }
         }
     }
-    let mut row = index.row(tier, entity).to_vec();
-    match fault {
-        // A poisoned encoder emits NaN *output*: the checksum (which covers
-        // the stored row, not the computation) has nothing to catch.
+    let stored = index.row(tier, entity);
+    let mut damaged: Vec<f32>;
+    let row = match fault {
         Some(FaultKind::NanFeatures) => {
-            for value in row.iter_mut() {
-                *value = f32::NAN;
-            }
+            damaged = vec![f32::NAN; stored.len()];
+            &damaged
         }
-        // Storage damage: flip one bit of the local copy, then run the
-        // integrity check every attempt runs.
+        // Storage damage: one flipped bit, which the integrity check every
+        // attempt runs must catch.
         Some(FaultKind::CorruptCache) => {
-            row[0] = f32::from_bits(row[0].to_bits() ^ 1);
-            if !index.verify_row(tier, entity, &row) {
-                return TierScore::Corrupt;
-            }
+            damaged = stored.to_vec();
+            damaged[0] = f32::from_bits(damaged[0].to_bits() ^ 1);
+            &damaged
         }
-        _ => {
-            if !index.verify_row(tier, entity, &row) {
-                return TierScore::Corrupt;
-            }
-        }
+        _ => stored,
+    };
+    // A poisoned encoder emits NaN *output*: the checksum (which covers the
+    // stored row, not the computation) has nothing to catch.
+    if fault != Some(FaultKind::NanFeatures) && !index.verify_row(tier, entity, row) {
+        return TierScore::Corrupt;
     }
-    let ranking = rank_row(&row, top_k);
+    let ranking = rank_row(row, top_k);
     if let Some(&best) = ranking.first() {
         if !row[best].is_finite() {
             return TierScore::Poisoned;

@@ -25,11 +25,13 @@
 //!   coalesced batch is bit-identical to per-request scoring — batching is
 //!   purely a throughput lever (it amortises panel traffic across the
 //!   wave), never a value change.
-//! * **Selection**: per-request candidates are ranked under the exact
-//!   ranking order of [`crossem::matcher::rank_row`] — score descending by
-//!   [`score_cmp`] (NaN sinks), image id ascending on ties — so with
-//!   `nprobe = nclusters` the IVF result is bit-identical to the dense
-//!   scan.
+//! * **Selection**: per-request candidates are ranked by the ranking
+//!   kernel of [`crossem::matcher`] — score descending by
+//!   [`score_cmp`](crossem::matcher::score_cmp) (NaN sinks), image id
+//!   ascending on ties, as one `u64` key per candidate — the order of
+//!   [`crossem::matcher::rank_row`], so with `nprobe = nclusters` the IVF
+//!   result is bit-identical to the dense scan. Probes rank centroids the
+//!   same way.
 //! * **Durability**: shards serialise as CRC'd CEMT v2 entries
 //!   (`shard.<i>.ids` / `shard.<i>.emb` plus a stored per-shard checksum)
 //!   and ride inside the existing [`Generation`](crate::Generation)
@@ -50,7 +52,7 @@ use cem_tensor::pack::{pack_b_t, PackedB};
 use cem_tensor::Tensor;
 use crossem::checkpoint::{shard_entry_key, shard_schema_of, stamp_shard_schema};
 use crossem::kmeans::{kmeans_flat_seeded, nearest_centroid};
-use crossem::matcher::score_cmp;
+use crossem::matcher::{key_id, key_is_finite, rank_key, select_top};
 
 /// Schema version of the shard sections inside a CEMT container.
 pub const SHARD_SCHEMA: u64 = 1;
@@ -274,18 +276,20 @@ impl ShardedIndex {
     }
 
     /// Top-`nprobe` clusters for `entity` by centroid score, ranked
-    /// (score desc via [`score_cmp`], cluster asc). Pure function of
+    /// (score desc via [`score_cmp`](crossem::matcher::score_cmp), cluster
+    /// asc) by [`select_top`]. Pure function of
     /// `(query, index, nprobe)`: no clocks, no thread count, no mutation —
     /// the replay-determinism contract for probe schedules.
     pub fn probe(&self, entity: usize, nprobe: usize) -> Vec<usize> {
         let q = self.query(entity);
-        let dim = self.dim;
-        let mut scored: Vec<(usize, f32)> = (0..self.nclusters())
-            .map(|c| (c, dot(q, &self.centroids[c * dim..(c + 1) * dim])))
+        let mut keys: Vec<u64> = self
+            .centroids
+            .chunks_exact(self.dim)
+            .enumerate()
+            .map(|(c, centroid)| rank_key(dot(q, centroid), c))
             .collect();
-        scored.sort_unstable_by(|a, b| score_cmp(b.1, a.1).then(a.0.cmp(&b.0)));
-        scored.truncate(nprobe.clamp(1, self.nclusters()));
-        scored.into_iter().map(|(c, _)| c).collect()
+        let keep = nprobe.clamp(1, self.nclusters());
+        select_top(&mut keys, keep).iter().map(|&key| key_id(key)).collect()
     }
 
     /// Score one wave of requests (`entities[slot]` per wave slot) through
@@ -325,7 +329,7 @@ impl ShardedIndex {
                 return Err(ShardError::Corrupt { shard: c });
             }
         }
-        let mut candidates: Vec<Vec<(u32, f32)>> = entities
+        let mut candidates: Vec<Vec<u64>> = entities
             .iter()
             .map(|_| Vec::with_capacity(nprobe * self.images / self.nclusters().max(1) + 1))
             .collect();
@@ -362,7 +366,8 @@ impl ShardedIndex {
             }
             for (bi, &slot) in slots.iter().enumerate() {
                 let row = &out[bi * len..(bi + 1) * len];
-                candidates[slot].extend(shard.ids.iter().zip(row).map(|(&id, &s)| (id, s)));
+                candidates[slot]
+                    .extend(shard.ids.iter().zip(row).map(|(&id, &s)| rank_key(s, id as usize)));
             }
         }
         let mut total_candidates = 0u64;
@@ -635,30 +640,23 @@ impl ShardedIndex {
     }
 }
 
-/// Keep the best `k` candidates under the strict total order
-/// (score desc via [`score_cmp`], image id asc) — the exact ranking rule of
+/// Keep the best `k` candidates (`k = 0` keeps all), given as
+/// [`rank_key`]s of their scores and image ids: the ranking order of
 /// [`crossem::matcher::rank_row`], so dense and probed rankings agree
-/// whenever they see the same candidate scores. `k = 0` keeps all.
-fn take_top_k(candidates: &mut Vec<(u32, f32)>, k: usize) -> ShardRanking {
-    let cmp =
-        |a: &(u32, f32), b: &(u32, f32)| score_cmp(b.1, a.1).then(a.0.cmp(&b.0));
-    let keep = if k == 0 { candidates.len() } else { k.min(candidates.len()) };
-    if keep == 0 {
-        return ShardRanking { ids: Vec::new(), finite: true };
+/// whenever they see the same candidate scores.
+fn take_top_k(candidates: &mut [u64], k: usize) -> ShardRanking {
+    let top = select_top(candidates, k);
+    ShardRanking {
+        ids: top.iter().map(|&key| key_id(key)).collect(),
+        finite: top.first().is_none_or(|&key| key_is_finite(key)),
     }
-    if keep < candidates.len() {
-        candidates.select_nth_unstable_by(keep - 1, cmp);
-        candidates.truncate(keep);
-    }
-    candidates.sort_unstable_by(cmp);
-    let finite = candidates[0].1.is_finite();
-    ShardRanking { ids: candidates.iter().map(|&(id, _)| id as usize).collect(), finite }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::retry::splitmix64;
+    use cem_tensor::crc::LANE_MIN_BYTES;
 
     /// Deterministic clustered embeddings: `centers` Gaussian-ish blobs on
     /// the unit sphere, `n` points cycling through them.
@@ -720,6 +718,43 @@ mod tests {
             let all = index.probe(e, usize::MAX);
             assert_eq!(all.len(), index.nclusters(), "nprobe clamps to nclusters");
         }
+    }
+
+    /// The clusters a probe keeps, and their order, are the prefix of a
+    /// reference sort: every centroid scored with `dot`, stable-sorted by
+    /// `score_cmp` descending. Tied centroids (a duplicated centroid) rank
+    /// the lower cluster first, and a NaN query ranks clusters in order.
+    #[test]
+    fn probe_matches_a_reference_sort_of_centroid_scores() {
+        use crossem::matcher::score_cmp;
+        let mut index = small_index();
+        let dim = index.dim;
+        index.centroids.copy_within(dim..2 * dim, 3 * dim);
+        index.queries[..dim].fill(f32::NAN);
+        for e in 0..index.entities() {
+            let scores: Vec<f32> =
+                index.centroids.chunks_exact(dim).map(|c| dot(index.query(e), c)).collect();
+            let mut reference: Vec<usize> = (0..scores.len()).collect();
+            reference.sort_by(|&a, &b| score_cmp(scores[b], scores[a]));
+            for nprobe in 1..=index.nclusters() {
+                assert_eq!(index.probe(e, nprobe), reference[..nprobe], "entity {e}");
+            }
+        }
+        assert_eq!(index.probe(0, 3), [0, 1, 2], "a NaN query keeps cluster order");
+    }
+
+    #[test]
+    fn take_top_k_flags_a_non_finite_best_score() {
+        let keys = |scores: &[f32]| -> Vec<u64> {
+            scores.iter().enumerate().map(|(id, &s)| rank_key(s, id)).collect()
+        };
+        let ranked = take_top_k(&mut keys(&[0.5, f32::NAN, 0.9, 0.5]), 3);
+        assert_eq!(ranked, ShardRanking { ids: vec![2, 0, 3], finite: true });
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let ranked = take_top_k(&mut keys(&[poison, poison]), 0);
+            assert_eq!(ranked, ShardRanking { ids: vec![0, 1], finite: false }, "{poison}");
+        }
+        assert_eq!(take_top_k(&mut [], 5), ShardRanking { ids: vec![], finite: true });
     }
 
     /// nprobe = nclusters covers every image, so the IVF ranking must be
@@ -800,9 +835,9 @@ mod tests {
         assert_eq!(crcs, [0x6E4A_0862, 0x2B86_B74E, 0x6E83_3BAE, 0xF50E_6A51, 0x36C1_67BB]);
     }
 
-    /// Shards big enough for the CRC's three-lane path (≥ 1,536 bytes per
-    /// `update`): one flipped bit inside any lane's third of the embedding
-    /// payload fails the wave and the decode.
+    /// Shards big enough for the CRC's three-lane path (at least
+    /// [`LANE_MIN_BYTES`] per `update`): one flipped bit inside any lane's
+    /// third of the embedding payload fails the wave and the decode.
     #[test]
     fn a_flipped_bit_in_every_crc_lane_is_caught() {
         let build = || {
@@ -816,7 +851,10 @@ mod tests {
             let mut index = build();
             let victim = (0..index.nclusters()).max_by_key(|&c| index.shard(c).len()).unwrap();
             let embeddings = &mut index.shards[victim].embeddings;
-            assert!(embeddings.len() * 4 >= 1536, "payload below the three-lane threshold");
+            assert!(
+                embeddings.len() * 4 >= LANE_MIN_BYTES,
+                "payload below the three-lane threshold"
+            );
             let at = lane * embeddings.len() / 3 + embeddings.len() / 6;
             embeddings[at] = f32::from_bits(embeddings[at].to_bits() ^ (1 << (at % 32)));
             assert_eq!(

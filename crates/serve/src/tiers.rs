@@ -205,6 +205,7 @@ pub fn cached_proximity_scores(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cem_tensor::crc::LANE_MIN_BYTES;
 
     fn tiny_index() -> ServeIndex {
         let m = |b: f32| (0..6).map(|i| b + i as f32).collect::<Vec<f32>>();
@@ -237,6 +238,24 @@ mod tests {
         let bits = corrupt[1].to_bits() ^ 0x0040_0000;
         corrupt[1] = f32::from_bits(bits);
         assert!(!index.verify_row(Tier::Cached, 0, &corrupt));
+    }
+
+    /// A 192-image row is 768 bytes, enough for the CRC's three-lane path:
+    /// one flipped bit inside any lane's third fails `verify_row`.
+    #[test]
+    fn a_flipped_bit_in_every_crc_lane_of_a_row_is_caught() {
+        let images = 192;
+        assert!(images * 4 >= LANE_MIN_BYTES, "row below the three-lane threshold");
+        let m: Vec<f32> = (0..2 * images).map(|i| (i as f32 * 0.37).sin()).collect();
+        let index = ServeIndex::new(2, images, [m.clone(), m.clone(), m.clone(), m]);
+        let clean = index.row(Tier::Full, 1);
+        assert!(index.verify_row(Tier::Full, 1, clean));
+        for lane in 0..3 {
+            let at = lane * images / 3 + images / 6;
+            let mut corrupt = clean.to_vec();
+            corrupt[at] = f32::from_bits(corrupt[at].to_bits() ^ (1 << (at % 32)));
+            assert!(!index.verify_row(Tier::Full, 1, &corrupt), "lane {lane}");
+        }
     }
 
     #[test]

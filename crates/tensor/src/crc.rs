@@ -20,16 +20,18 @@
 //!   contribution when `k` more bytes follow it in the block, so the eight
 //!   lookups are independent and only one xor chain links the blocks.
 //! * **Three lanes.** One lane is still bound by that chain (load, xor,
-//!   next block). An input with at least `LANE_MIN_BLOCKS` (64) blocks per
-//!   lane (1,536 bytes) is cut into three consecutive equal thirds that
-//!   one loop hashes side by side, the second and third from a zero state,
-//!   so the three chains overlap. The lanes are joined with zlib's
-//!   shift-combine: the CRC register is linear, so feeding `n` more bytes
-//!   to a state `s` gives `s · x^(8n) mod P` plus the state those bytes
-//!   reach from zero. `multmodp` multiplies modulo `P`, and `x^(8n)`
-//!   comes from a compile-time table of `x^(2^k) mod P` by repeated
-//!   squaring. Shorter inputs, such as a 768-byte dense score row, take
-//!   the single lane.
+//!   next block). Each whole [`LANE_MIN_BYTES`] (768-byte) stride of the
+//!   input, one 192-image dense score row, is cut into three 256-byte
+//!   lanes that one loop hashes side by side, the second and third from a
+//!   zero state, so the three chains overlap. The lanes are joined with
+//!   zlib's shift-combine: the CRC register is linear, so feeding `n` more
+//!   bytes to a state `s` gives `s · x^(8n) mod P` plus the state those
+//!   bytes reach from zero. The lane length is fixed, so the shift is one
+//!   fixed linear map of the 32-bit state, which four compile-time tables
+//!   apply a byte at a time (`SHIFT_TABLES`, built with `multmodp`). A
+//!   shift computed per input by `multmodp` would cost a third of a
+//!   768-byte row's hash. The tail after the last whole stride takes the
+//!   single lane.
 //!
 //! [`Hasher::update_u32s`] and [`Hasher::update_f32s`] read 4-byte words
 //! as their little-endian bytes straight from the slice, so a shard or a
@@ -41,9 +43,12 @@ const POLY: u32 = 0xEDB8_8320;
 /// Three independent lanes keep three lookup chains in flight.
 const LANES: usize = 3;
 
-/// Minimum 8-byte blocks per lane before an input is split across the
-/// lanes; shorter inputs take one lane.
-const LANE_MIN_BLOCKS: usize = 64;
+/// 8-byte blocks per lane: a three-lane stride covers
+/// `LANES * LANE_BLOCKS` blocks.
+const LANE_BLOCKS: usize = 32;
+
+/// Smallest input, in bytes, that takes the three-lane path: one stride.
+pub const LANE_MIN_BYTES: usize = LANES * LANE_BLOCKS * 8;
 
 /// `TABLES[0]` is the classic bytewise table; `TABLES[k]` folds a byte
 /// followed by `k` zero bytes.
@@ -75,22 +80,6 @@ const fn build_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-/// `X2N[k] = x^(2^k) mod P`. The order of `x` modulo `P` divides
-/// `2^32 - 1`, so `x^(2^32) = x` and the table wraps after 32 entries.
-const X2N: [u32; 32] = build_x2n();
-
-const fn build_x2n() -> [u32; 32] {
-    let mut table = [0u32; 32];
-    let mut p = 1u32 << 30; // x^1; bit 31 holds x^0
-    let mut k = 0;
-    while k < 32 {
-        table[k] = p;
-        p = multmodp(p, p);
-        k += 1;
-    }
-    table
-}
-
 /// `a(x) · b(x) mod P`, both in the reflected representation (bit 31 holds
 /// the `x^0` coefficient).
 const fn multmodp(a: u32, mut b: u32) -> u32 {
@@ -107,17 +96,45 @@ const fn multmodp(a: u32, mut b: u32) -> u32 {
 }
 
 /// `x^(8n) mod P`: the factor that carries a CRC state over `n` bytes.
-fn shift_bytes(mut n: usize) -> u32 {
+const fn shift_bytes(mut n: usize) -> u32 {
     let mut factor = 1u32 << 31; // x^0
-    let mut k = 3; // 8n = n · 2^3
+    let mut square = 1u32 << 23; // x^8, squared once per bit of `n`
     while n != 0 {
         if n & 1 != 0 {
-            factor = multmodp(X2N[k % 32], factor);
+            factor = multmodp(square, factor);
         }
+        square = multmodp(square, square);
         n >>= 1;
-        k += 1;
     }
     factor
+}
+
+/// `SHIFT_TABLES[k][b]` is byte `b` in byte `k` of a CRC state, carried
+/// over one lane: `multmodp(x^(8 · lane bytes), b << 8k)`.
+const SHIFT_TABLES: [[u32; 256]; 4] = build_shift_tables();
+
+const fn build_shift_tables() -> [[u32; 256]; 4] {
+    let shift = shift_bytes(LANE_BLOCKS * 8);
+    let mut tables = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            tables[k][b] = multmodp(shift, (b as u32) << (8 * k));
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// Carry a CRC state over one lane of zero bytes.
+#[inline(always)]
+fn shift_lane(state: u32) -> u32 {
+    SHIFT_TABLES[0][(state & 0xFF) as usize]
+        ^ SHIFT_TABLES[1][((state >> 8) & 0xFF) as usize]
+        ^ SHIFT_TABLES[2][((state >> 16) & 0xFF) as usize]
+        ^ SHIFT_TABLES[3][(state >> 24) as usize]
 }
 
 fn fold_byte(crc: u32, byte: u8) -> u32 {
@@ -181,29 +198,27 @@ impl LeBytes for f32 {
     }
 }
 
-/// Advance the CRC register `crc` over `data`, in one lane or three.
-fn fold<T: LeBytes>(crc: u32, data: &[T]) -> u32 {
-    let per_lane = data.len() / T::PER_BLOCK / LANES;
-    if per_lane < LANE_MIN_BLOCKS {
-        return fold_lane(crc, data);
+/// Advance the CRC register `crc` over `data`: three lanes over each whole
+/// stride, one lane over the tail.
+fn fold<T: LeBytes>(mut crc: u32, data: &[T]) -> u32 {
+    let lane = LANE_BLOCKS * T::PER_BLOCK;
+    let mut strides = data.chunks_exact(LANES * lane);
+    for stride in &mut strides {
+        let (a, rest) = stride.split_at(lane);
+        let (b, c) = rest.split_at(lane);
+        let (mut sa, mut sb, mut sc) = (crc, 0, 0);
+        for ((x, y), z) in a
+            .chunks_exact(T::PER_BLOCK)
+            .zip(b.chunks_exact(T::PER_BLOCK))
+            .zip(c.chunks_exact(T::PER_BLOCK))
+        {
+            sa = fold_block(sa, T::block(x));
+            sb = fold_block(sb, T::block(y));
+            sc = fold_block(sc, T::block(z));
+        }
+        crc = shift_lane(shift_lane(sa) ^ sb) ^ sc;
     }
-    let lane = per_lane * T::PER_BLOCK;
-    let (a, rest) = data.split_at(lane);
-    let (b, rest) = rest.split_at(lane);
-    let (c, tail) = rest.split_at(lane);
-    let (mut sa, mut sb, mut sc) = (crc, 0, 0);
-    for ((x, y), z) in a
-        .chunks_exact(T::PER_BLOCK)
-        .zip(b.chunks_exact(T::PER_BLOCK))
-        .zip(c.chunks_exact(T::PER_BLOCK))
-    {
-        sa = fold_block(sa, T::block(x));
-        sb = fold_block(sb, T::block(y));
-        sc = fold_block(sc, T::block(z));
-    }
-    let shift = shift_bytes(std::mem::size_of_val(b));
-    let joined = multmodp(shift, multmodp(shift, sa) ^ sb) ^ sc;
-    fold_lane(joined, tail)
+    fold_lane(crc, strides.remainder())
 }
 
 fn fold_lane<T: LeBytes>(crc: u32, data: &[T]) -> u32 {
@@ -266,9 +281,6 @@ mod tests {
     use crate::io::StateDict;
     use crate::Tensor;
     use proptest::prelude::*;
-
-    /// Smallest input that takes the three-lane path.
-    const LANE_BYTES: usize = LANES * LANE_MIN_BLOCKS * 8;
 
     /// Bit-at-a-time CRC-32: the definition every kernel path must match.
     fn reference(bytes: &[u8]) -> u32 {
@@ -340,7 +352,13 @@ mod tests {
     /// all three entry points.
     #[test]
     fn lane_threshold_edges_match_the_reference() {
-        for len in [LANE_BYTES - 8, LANE_BYTES - 1, LANE_BYTES, LANE_BYTES + 1, LANE_BYTES + 8] {
+        for len in [
+            LANE_MIN_BYTES - 8,
+            LANE_MIN_BYTES - 1,
+            LANE_MIN_BYTES,
+            LANE_MIN_BYTES + 1,
+            LANE_MIN_BYTES + 8,
+        ] {
             let data = noise(len as u64, len);
             assert_eq!(crc32(&data), reference(&data), "bytes, length {len}");
             let words: Vec<u32> =
@@ -358,11 +376,13 @@ mod tests {
 
     #[test]
     fn shift_factors_match_feeding_zero_bytes() {
-        // x^(2^32) = x, which lets `shift_bytes` wrap its table index.
-        assert_eq!(multmodp(X2N[31], X2N[31]), X2N[0]);
         let state = 0x1234_5678;
         for n in [0usize, 1, 7, 8, 513, 4096] {
             assert_eq!(multmodp(shift_bytes(n), state), fold_lane(state, &vec![0u8; n]), "n = {n}");
+        }
+        let lane = vec![0u8; LANE_BLOCKS * 8];
+        for state in [0, 1, 0x8000_0000, 0x1234_5678, 0xFFFF_FFFF] {
+            assert_eq!(shift_lane(state), fold_lane(state, &lane), "state {state:#x}");
         }
     }
 

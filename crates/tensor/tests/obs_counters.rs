@@ -102,6 +102,8 @@ fn gemm_dispatch_counters_split_by_work_size() {
 /// with obs enabled and disabled (the bit-identity contract, kernel-level).
 #[test]
 fn instrumented_gemm_is_bit_identical_to_uninstrumented() {
+    // `force_enable` and the GEMM's dispatch counters are global too.
+    let _serial = registry_lock();
     let n = 48usize;
     let a: Vec<f32> = (0..n * n).map(|i| (i as f32 * 0.37).sin()).collect();
     let b: Vec<f32> = (0..n * n).map(|i| (i as f32 * 0.11).cos()).collect();

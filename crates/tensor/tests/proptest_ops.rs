@@ -179,16 +179,4 @@ proptest! {
         let y = cem_tensor::no_grad(|| t.mul_scalar(2.0).relu().sum());
         prop_assert!(!y.has_grad_fn());
     }
-
-    // ---------- memory accounting ----------
-
-    #[test]
-    fn live_bytes_return_to_baseline(n in 1usize..2000) {
-        let before = cem_tensor::memory::live_bytes();
-        {
-            let _t = Tensor::zeros(&[n]);
-            prop_assert!(cem_tensor::memory::live_bytes() >= before + n * 4);
-        }
-        prop_assert_eq!(cem_tensor::memory::live_bytes(), before);
-    }
 }
