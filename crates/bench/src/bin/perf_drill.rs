@@ -1,5 +1,5 @@
 //! Performance drills for the parallel kernel layer and the frozen-feature
-//! cache (see DESIGN.md, "Performance"). Six sections, each with timings
+//! cache (see DESIGN.md, "Performance"). Seven sections, each with timings
 //! and — wherever parallelism is involved — a hard bit-identity verdict:
 //!
 //! 1. **GEMM kernels** — the blocked register-tiled kernel vs a local
@@ -19,6 +19,12 @@
 //!    and the key selection over shard-sized probe candidate sets, against
 //!    a local reference sort on scores with ties, NaN and both zeros;
 //!    every ranking must equal the reference's.
+//! 7. **Backward** — `neighbor_mean` forward + backward over the CUB
+//!    bundle's adjacency against a local copy of the per-vertex chain it
+//!    replaced (gather → `mean_axis0` → `stack_rows`); outputs must match
+//!    bit-for-bit and gradients as f32 values (an exact zero may change
+//!    sign). Also one CrossEM⁺ batch's encode / backward / optimiser split,
+//!    from the trainer's spans, and its median tensor allocations.
 //!
 //! Results land in `BENCH_perf.json`. Honours `--quick`; `--smoke` is the
 //! same scale with the large GEMM sizes dropped (for CI).
@@ -28,12 +34,13 @@ use std::time::Instant;
 
 use cem_bench::{default_plus, prepare, HarnessConfig, PreparedBundle};
 use cem_data::DatasetKind;
-use cem_tensor::{crc, kernels, par};
+use cem_nn::gnn::neighbor_mean;
+use cem_tensor::{crc, kernels, memory, par, Tensor};
 use crossem::matcher::{key_id, rank_key, rank_row, score_cmp, select_top};
 use crossem::plus::minibatch::pairwise_proximity;
 use crossem::plus::CrossEmPlus;
 use crossem::trainer::TrainOptions;
-use crossem::{CrossEm, FeatureCache, PromptKind};
+use crossem::{CrossEm, EpochAction, FaultInjector, FeatureCache, PromptKind};
 
 /// Stage index for the drill RNG (distinct from the table harness stages).
 const DRILL_STAGE: u64 = 88;
@@ -386,6 +393,106 @@ fn drill_rank() -> Vec<RankRow> {
     rows
 }
 
+/// The per-vertex chain `neighbor_mean` replaced: a gather and a column
+/// mean per vertex, then a stack.
+fn neighbor_mean_chain(features: &Tensor, adj: &[Vec<usize>]) -> Tensor {
+    let d = features.shape().last_dim();
+    let parts: Vec<Tensor> = adj
+        .iter()
+        .map(|nb| {
+            if nb.is_empty() {
+                Tensor::zeros(&[d])
+            } else {
+                features.gather_rows(nb).mean_axis0()
+            }
+        })
+        .collect();
+    Tensor::stack_rows(&parts)
+}
+
+/// Tensor allocations between consecutive `after_backward` calls inside an
+/// epoch: one batch cycle each (the previous step's optimiser tail, then
+/// this batch's forward and backward).
+#[derive(Default)]
+struct AllocClock {
+    last: Option<usize>,
+    per_batch: Vec<usize>,
+}
+
+impl FaultInjector for AllocClock {
+    fn after_backward(&mut self, _global_batch: usize, _params: &[Tensor]) {
+        let now = memory::total_allocations();
+        if let Some(last) = self.last {
+            self.per_batch.push(now - last);
+        }
+        self.last = Some(now);
+    }
+
+    fn after_epoch(&mut self, _epoch: usize) -> EpochAction {
+        self.last = None;
+        EpochAction::Continue
+    }
+}
+
+struct BackwardDrill {
+    vertices: usize,
+    entries: usize,
+    dim: usize,
+    chain_ms: f64,
+    segment_ms: f64,
+    identical: bool,
+    batches: u64,
+    encode_ms: f64,
+    backward_ms: f64,
+    optim_ms: f64,
+    allocs_per_batch: usize,
+}
+
+/// Section 7: neighbour aggregation, forward + backward, new against the
+/// replaced chain; then one CrossEM⁺ epoch at one thread, split per batch
+/// from the trainer's spans.
+fn drill_backward(prepared: &PreparedBundle) -> BackwardDrill {
+    let bundle = &prepared.bundle;
+    let adj = bundle.dataset.graph.adjacency();
+    let (n, d) = (adj.len(), bundle.clip.text.d_model());
+    let features = fill(0xB4C4_3A2D, n * d);
+    let seed = fill(0x5EED_0007, n * d);
+    let run = |mean: fn(&Tensor, &[Vec<usize>]) -> Tensor| {
+        let f = Tensor::from_vec(features.clone(), &[n, d]).requires_grad();
+        let out = mean(&f, &adj);
+        out.backward_with(&seed);
+        (out.to_vec(), f.grad().expect("features reached"))
+    };
+    let _one_thread = par::ThreadsGuard::new(1);
+    let chain_ms = bench_ms(9, || drop(run(neighbor_mean_chain)));
+    let segment_ms = bench_ms(9, || drop(run(neighbor_mean)));
+    let (chain, segment) = (run(neighbor_mean_chain), run(neighbor_mean));
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let identical = bits(&chain.0) == bits(&segment.0) && chain.1 == segment.1;
+
+    let before = cem_obs::global().snapshot();
+    let mut clock = AllocClock::default();
+    drop(crossem_plus_epoch(prepared, 1, Some(&mut clock)));
+    clock.per_batch.sort_unstable();
+    let spans = cem_obs::global().snapshot().delta_since(&before);
+    let ms = |name: &str| spans.span(name).map_or(0.0, |s| s.total_nanos as f64 / 1e6);
+    let batches = spans.span("phase.step").map_or(0, |s| s.calls).max(1);
+    let per_batch = |total: f64| total / batches as f64;
+    BackwardDrill {
+        vertices: n,
+        entries: adj.iter().map(Vec::len).sum(),
+        dim: d,
+        chain_ms,
+        segment_ms,
+        identical,
+        batches,
+        encode_ms: per_batch(ms("phase.encode")),
+        backward_ms: per_batch(ms("step.backward")),
+        optim_ms: per_batch(ms("step.clip") + ms("step.update")),
+        allocs_per_batch: clock.per_batch.get(clock.per_batch.len() / 2).copied().unwrap_or(0),
+    }
+}
+
 struct TrainedEpoch {
     seconds: f64,
     params: Vec<Vec<f32>>,
@@ -409,7 +516,11 @@ fn crossem_epoch(prepared: &PreparedBundle, threads: usize) -> TrainedEpoch {
 
 /// One tuning epoch of CrossEM⁺ (PCP + negative sampling + orthogonal
 /// constraint) at a fixed thread budget.
-fn crossem_plus_epoch(prepared: &PreparedBundle, threads: usize) -> TrainedEpoch {
+fn crossem_plus_epoch(
+    prepared: &PreparedBundle,
+    threads: usize,
+    injector: Option<&mut dyn FaultInjector>,
+) -> TrainedEpoch {
     prepared.reset_clip();
     let bundle = &prepared.bundle;
     let mut rng = bundle.stage_rng(DRILL_STAGE + 1);
@@ -424,7 +535,10 @@ fn crossem_plus_epoch(prepared: &PreparedBundle, threads: usize) -> TrainedEpoch
     );
     let start = Instant::now();
     trainer
-        .train_with_options(&mut rng, TrainOptions { threads: Some(threads), ..Default::default() })
+        .train_with_options(
+            &mut rng,
+            TrainOptions { threads: Some(threads), injector, ..Default::default() },
+        )
         .expect("no checkpoints, no resume path to fail");
     let seconds = start.elapsed().as_secs_f64();
     let params = trainer.base().trainable_params().iter().map(|p| p.to_vec()).collect();
@@ -537,7 +651,7 @@ fn main() {
 
     eprintln!("[perf 4] one CrossEM⁺ epoch at 1/2/4 threads …");
     let plus_runs: Vec<TrainedEpoch> =
-        THREADS.iter().map(|&t| crossem_plus_epoch(&prepared, t)).collect();
+        THREADS.iter().map(|&t| crossem_plus_epoch(&prepared, t, None)).collect();
     let plus_identical = bitwise_equal(&plus_runs);
     eprintln!(
         "[perf 4] epoch t1 {:.2} / t2 {:.2} / t4 {:.2} s, params bit-identical: {plus_identical}",
@@ -552,10 +666,32 @@ fn main() {
     let rank_rows = drill_rank();
     let rank_identical = rank_rows.iter().all(|r| r.identical);
 
+    // The registry counters below cover sections 1–6; section 7 trains an
+    // extra epoch whose GEMM calls would otherwise inflate them.
+    let obs = cem_obs::global().snapshot().delta_since(&obs_baseline);
+
+    eprintln!("[perf 7] neighbour aggregation backward vs the per-vertex chain …");
+    let bwd = drill_backward(&prepared);
+    let backward_identical = bwd.identical;
+    eprintln!(
+        "[perf 7] neighbor_mean fwd+bwd ({} vertices, {} entries, d {}): chain {:.3} ms, \
+         segment {:.3} ms ({:.1}x), identical: {backward_identical}",
+        bwd.vertices,
+        bwd.entries,
+        bwd.dim,
+        bwd.chain_ms,
+        bwd.segment_ms,
+        bwd.chain_ms / bwd.segment_ms.max(1e-9),
+    );
+    eprintln!(
+        "[perf 7] CrossEM⁺ batch at t1 ({} batches): encode {:.3} / backward {:.3} / \
+         optimiser {:.3} ms, {} tensor allocations (median)",
+        bwd.batches, bwd.encode_ms, bwd.backward_ms, bwd.optim_ms, bwd.allocs_per_batch,
+    );
+
     // ---------------------------------------------------------------
     // Summary + BENCH_perf.json
     // ---------------------------------------------------------------
-    let obs = cem_obs::global().snapshot().delta_since(&obs_baseline);
     let counter = |name: &str| obs.counter(name).unwrap_or(0);
     eprintln!(
         "[perf obs] gemm dispatch blocked={} serial={}, cache features {}h/{}m \
@@ -580,6 +716,7 @@ fn main() {
         && plus_identical
         && crc_bit_identical
         && rank_identical
+        && backward_identical
         && (!scaling_applicable || scaling_ok);
     println!(
         "\nperf drill: GEMM {gemm_speedup:.2}x vs naive at {}³ ({} tier), cache hit {:.0}x \
@@ -690,6 +827,26 @@ fn main() {
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"rank_identical\": {rank_identical},");
+    let _ = writeln!(
+        json,
+        "  \"backward\": {{\"vertices\": {}, \"adjacency_entries\": {}, \"dim\": {}, \
+         \"neighbor_mean_chain_ms\": {:.4}, \"neighbor_mean_segment_ms\": {:.4}, \
+         \"speedup\": {:.2}, \"plus_batches_t1\": {}, \"encode_ms_per_batch\": {:.4}, \
+         \"backward_ms_per_batch\": {:.4}, \"optimiser_ms_per_batch\": {:.4}, \
+         \"allocations_per_batch\": {}}},",
+        bwd.vertices,
+        bwd.entries,
+        bwd.dim,
+        bwd.chain_ms,
+        bwd.segment_ms,
+        bwd.chain_ms / bwd.segment_ms.max(1e-9),
+        bwd.batches,
+        bwd.encode_ms,
+        bwd.backward_ms,
+        bwd.optim_ms,
+        bwd.allocs_per_batch,
+    );
+    let _ = writeln!(json, "  \"backward_identical\": {backward_identical},");
     let _ = writeln!(json, "  \"obs_counters\": {{");
     let _ = writeln!(
         json,

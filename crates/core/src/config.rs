@@ -33,6 +33,12 @@ pub enum SoftBackend {
 /// head + input embeddings) is the safer default for the unsupervised
 /// objective: the pre-trained tower body stays frozen, matching prompt
 /// tuning's "quick adaptation, low overfitting risk" framing (Sec. II-B).
+///
+/// Gradient tracking follows the scope: for the length of a
+/// `train_with_options` call, text-tower parameters outside it have
+/// `requires_grad` off, so backward carries gradients through the frozen
+/// body to the prompts and embeddings without computing weight gradients
+/// no optimiser reads. Each flag is restored when the call returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TuneScope {
     /// Tune the full text tower (fine-tuning-like).

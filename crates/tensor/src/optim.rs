@@ -21,10 +21,11 @@ pub trait Optimizer {
     fn params(&self) -> &[Tensor];
 
     /// Clip gradients to a maximum global L2 norm; returns the pre-clip norm.
+    /// Reads and scales each gradient buffer in place.
     fn clip_grad_norm(&mut self, max_norm: f32) -> f32 {
         let mut total = 0.0f64;
         for p in self.params() {
-            if let Some(g) = p.grad() {
+            if let Some(g) = p.grad_ref() {
                 total += g.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>();
             }
         }
@@ -32,10 +33,8 @@ pub trait Optimizer {
         if norm > max_norm && norm > 0.0 {
             let scale = max_norm / norm;
             for p in self.params() {
-                if let Some(g) = p.grad() {
-                    let scaled: Vec<f32> = g.iter().map(|x| x * scale).collect();
-                    p.zero_grad();
-                    p.accumulate_grad(&scaled);
+                if let Some(mut g) = p.grad_mut() {
+                    g.iter_mut().for_each(|x| *x *= scale);
                 }
             }
         }
@@ -69,15 +68,16 @@ impl Sgd {
 impl Optimizer for Sgd {
     fn step(&mut self) {
         for (p, v) in self.params.iter().zip(self.velocity.iter_mut()) {
-            let Some(g) = p.grad() else { continue };
+            let Some(g) = p.grad_ref() else { continue };
             let mut data = p.data_mut();
             if self.momentum > 0.0 {
-                for ((w, vel), gi) in data.as_mut_slice().iter_mut().zip(v.iter_mut()).zip(&g) {
+                for ((w, vel), gi) in data.as_mut_slice().iter_mut().zip(v.iter_mut()).zip(g.iter())
+                {
                     *vel = self.momentum * *vel + *gi;
                     *w -= self.lr * *vel;
                 }
             } else {
-                for (w, gi) in data.as_mut_slice().iter_mut().zip(&g) {
+                for (w, gi) in data.as_mut_slice().iter_mut().zip(g.iter()) {
                     *w -= self.lr * *gi;
                 }
             }
@@ -218,11 +218,18 @@ impl Optimizer for AdamW {
         self.step_count += 1;
         let bias1 = 1.0 - self.beta1.powi(self.step_count as i32);
         let bias2 = 1.0 - self.beta2.powi(self.step_count as i32);
+        // The sign of a zero gradient element cannot move a weight. The
+        // first moment starts at +0 and never becomes −0: a sum is −0 only
+        // when both terms are, and `β₁·m` is −0 only when `m` is. So adding
+        // `(1−β₁)·(±0)` leaves `m` as it was, and `g·g` is +0 either way.
+        // Backward passes that add only into the rows they touched may
+        // flip the sign of an exact zero gradient element (see
+        // `ops::structure`); every update stays bit-identical.
         for ((p, m), v) in self.params.iter().zip(self.m.iter_mut()).zip(self.v.iter_mut()) {
-            let Some(g) = p.grad() else { continue };
+            let Some(g) = p.grad_ref() else { continue };
             let mut data = p.data_mut();
             for (((w, mi), vi), gi) in
-                data.as_mut_slice().iter_mut().zip(m.iter_mut()).zip(v.iter_mut()).zip(&g)
+                data.as_mut_slice().iter_mut().zip(m.iter_mut()).zip(v.iter_mut()).zip(g.iter())
             {
                 *mi = self.beta1 * *mi + (1.0 - self.beta1) * *gi;
                 *vi = self.beta2 * *vi + (1.0 - self.beta2) * *gi * *gi;
@@ -309,6 +316,18 @@ mod tests {
         let g = w.grad().unwrap();
         let norm = (g[0] * g[0] + g[1] * g[1]).sqrt();
         assert!((norm - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn clip_grad_norm_scales_in_place_bit_identically() {
+        let w = Tensor::zeros(&[4]).requires_grad();
+        let g = [3.0, -4.0, 1.0e-3, -0.0];
+        w.accumulate_grad(&g);
+        let mut opt = Sgd::new(vec![w.clone()], 0.1);
+        let scale = 0.5 / opt.clip_grad_norm(0.5);
+        let want: Vec<u32> = g.iter().map(|x| (x * scale).to_bits()).collect();
+        let got: Vec<u32> = w.grad().unwrap().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

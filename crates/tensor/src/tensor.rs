@@ -187,6 +187,26 @@ impl Tensor {
         self.accumulate_grad(g);
     }
 
+    /// Borrow the gradient buffer in place (optimisers read it without a
+    /// copy).
+    pub(crate) fn grad_ref(&self) -> Option<Ref<'_, [f32]>> {
+        Ref::filter_map(self.inner.grad.borrow(), |g| g.as_deref()).ok()
+    }
+
+    /// Mutably borrow an existing gradient buffer (in-place clipping).
+    pub(crate) fn grad_mut(&self) -> Option<RefMut<'_, [f32]>> {
+        RefMut::filter_map(self.inner.grad.borrow_mut(), |g| g.as_deref_mut()).ok()
+    }
+
+    /// Run `f` on this tensor's gradient buffer, allocated zero-filled on
+    /// first touch. Backward closures that reach only part of a parent
+    /// (row gathers, slices, segment sums) add into the rows or columns
+    /// they touched here instead of adding a parent-sized scratch buffer.
+    pub(crate) fn with_grad_mut<T>(&self, f: impl FnOnce(&mut [f32]) -> T) -> T {
+        let mut slot = self.inner.grad.borrow_mut();
+        f(slot.get_or_insert_with(|| Buffer::zeros(self.numel())))
+    }
+
     /// Accumulate `g` into this tensor's gradient buffer.
     pub(crate) fn accumulate_grad(&self, g: &[f32]) {
         assert_eq!(g.len(), self.numel(), "gradient length mismatch");

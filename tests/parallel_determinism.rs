@@ -88,6 +88,38 @@ fn crossem_plus_run(threads: usize) -> Run {
     }
 }
 
+/// A serial run's results as bits: CRC-32 of the trained parameters' f32
+/// bits (parameters in `trainable_params` order), then each epoch's mean
+/// loss and the MRR.
+#[derive(Debug, PartialEq)]
+struct Golden {
+    params_crc: u32,
+    loss_bits: Vec<u32>,
+    mrr_bits: u32,
+}
+
+impl Golden {
+    fn of(run: &Run) -> Golden {
+        let mut hasher = cem_tensor::crc::Hasher::new();
+        for p in &run.params {
+            hasher.update_f32s(p);
+        }
+        Golden {
+            params_crc: hasher.finalize(),
+            loss_bits: run.losses.iter().map(|l| l.to_bits()).collect(),
+            mrr_bits: run.mrr.to_bits(),
+        }
+    }
+}
+
+/// Any change to training arithmetic (a reordered sum, a fused op, a
+/// different gradient schedule) moves these; the pinned values must only
+/// change with a deliberate, explained re-baseline.
+fn assert_golden(serial: &Run, params_crc: u32, loss_bits: &[u32], mrr_bits: u32, what: &str) {
+    let want = Golden { params_crc, loss_bits: loss_bits.to_vec(), mrr_bits };
+    assert_eq!(Golden::of(serial), want, "{what}: serial run moved off its pinned golden");
+}
+
 fn assert_bitwise_equal(serial: &Run, parallel: &Run, what: &str) {
     assert_eq!(serial.losses, parallel.losses, "{what}: per-epoch losses diverged");
     assert_eq!(serial.params, parallel.params, "{what}: trained parameters diverged");
@@ -103,6 +135,13 @@ fn assert_bitwise_equal(serial: &Run, parallel: &Run, what: &str) {
 fn crossem_four_threads_reproduces_serial_bitwise() {
     let _guard = lock();
     let serial = crossem_run(1);
+    assert_golden(
+        &serial,
+        0x92883662,
+        &[0x3EBC43A3, 0x3E722147, 0x3DC23C0D],
+        0x3EE18618,
+        "CrossEM t1",
+    );
     let parallel = crossem_run(4);
     assert_bitwise_equal(&serial, &parallel, "CrossEM t1 vs t4");
 }
@@ -111,6 +150,13 @@ fn crossem_four_threads_reproduces_serial_bitwise() {
 fn crossem_plus_four_threads_reproduces_serial_bitwise() {
     let _guard = lock();
     let serial = crossem_plus_run(1);
+    assert_golden(
+        &serial,
+        0x33130483,
+        &[0x3E3B24AD, 0x3D7B3FE1, 0x3D2A75D5],
+        0x3F084BDA,
+        "CrossEM⁺ t1",
+    );
     let parallel = crossem_plus_run(4);
     assert_bitwise_equal(&serial, &parallel, "CrossEM⁺ t1 vs t4");
 }
