@@ -28,13 +28,13 @@
 //! shed rate, breaker trips, and degraded-tier accuracy vs. the full tier
 //! are written to `BENCH_chaos.json`. Honours `--quick` / `--smoke`.
 
-use std::fmt::Write as _;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use cem_bench::faults::{DiskFaultPlan, ServeFaultPlan};
-use cem_bench::{default_plus, prepare, HarnessConfig};
+use cem_bench::{default_plus, prepare, report, HarnessConfig};
 use cem_data::DatasetKind;
+use cem_obs::{Object, Value};
 use cem_serve::{
     cached_proximity_scores, hard_prompt_scores, silence_injected_panics, zero_shot_scores,
     BreakerConfig, BreakerState, Component, FaultKind, Generation, GenerationStore, MatchRequest,
@@ -199,7 +199,7 @@ fn main() {
         }
     }) && service.stats().breaker_trips == 0;
     total_add(&mut total, service.stats());
-    trace_add(&mut trace_total, service.trace_stats());
+    trace_total.merge(&service.trace_stats());
     println!("[drill 1] latency spikes → {}", verdict(drill1_pass));
 
     // ---------------------------------------------------------------
@@ -234,7 +234,7 @@ fn main() {
     let tail_full = served_tier(responses.last().unwrap()) == Some(Tier::Full);
     let drill2_pass = tripped && skipped && recovered && storm_degraded && tail_full;
     total_add(&mut total, service.stats());
-    trace_add(&mut trace_total, service.trace_stats());
+    trace_total.merge(&service.trace_stats());
     println!(
         "[drill 2] trips {} skipped {skipped} recovered {recovered} → {}",
         service.breaker_trips(Component::SoftEncoder),
@@ -268,7 +268,7 @@ fn main() {
         }
     });
     total_add(&mut total, service.stats());
-    trace_add(&mut trace_total, service.trace_stats());
+    trace_total.merge(&service.trace_stats());
     println!("[drill 3] NaN features → {}", verdict(drill3_pass));
 
     // ---------------------------------------------------------------
@@ -294,7 +294,7 @@ fn main() {
         served_tier(r) == Some(want) && r.retries == 0
     });
     total_add(&mut total, service.stats());
-    trace_add(&mut trace_total, service.trace_stats());
+    trace_total.merge(&service.trace_stats());
     println!("[drill 4] corrupt cache → {}", verdict(drill4_pass));
 
     // ---------------------------------------------------------------
@@ -314,7 +314,7 @@ fn main() {
         && responses[..depth].iter().all(|r| served_tier(r) == Some(Tier::Full))
         && responses[depth..].iter().all(|r| r.outcome == Outcome::Shed);
     total_add(&mut total, service.stats());
-    trace_add(&mut trace_total, service.trace_stats());
+    trace_total.merge(&service.trace_stats());
     println!(
         "[drill 5] shed {}/{} → {}",
         service.stats().shed,
@@ -372,7 +372,7 @@ fn main() {
     let drill6_pass =
         torn_publish && transients_absorbed && recovered && staged && served_clean;
     total_add(&mut total, service.stats());
-    trace_add(&mut trace_total, service.trace_stats());
+    trace_total.merge(&service.trace_stats());
     std::fs::remove_dir_all(&dir_disk).ok();
     println!(
         "[drill 6] torn publish {torn_publish}, retries absorbed {transients_absorbed}, \
@@ -409,8 +409,8 @@ fn main() {
     let determinism_pass = r1 == r4 && s1 == s4 && x1 == x4;
     total_add(&mut total, &s1);
     total_add(&mut total, &s4);
-    trace_add(&mut trace_total, x1);
-    trace_add(&mut trace_total, x4);
+    trace_total.merge(&x1);
+    trace_total.merge(&x4);
     println!("[determinism] 1 vs 4 threads → {}", verdict(determinism_pass));
 
     // ---------------------------------------------------------------
@@ -440,60 +440,42 @@ fn main() {
     );
     println!("chaos drill: {}", if all_pass { "ALL PASS" } else { "FAILURES" });
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"harness\": \"chaos_drill\",");
-    let _ = writeln!(json, "  \"scale\": \"{}\",", if quick { "quick" } else { "standard" });
-    let _ = writeln!(json, "  \"entities\": {entities},");
-    let _ = writeln!(json, "  \"images\": {images},");
-    let _ = writeln!(json, "  \"requests_per_drill\": {n},");
-    let _ = writeln!(json, "  \"tiers\": {{");
-    for (i, tier) in Tier::ALL.iter().enumerate() {
+    let tiers = Tier::ALL.iter().fold(Object::new(), |tiers, tier| {
         let m = &tier_metrics[tier.index()];
-        let _ = writeln!(json, "    \"{}\": {{", tier.label());
-        let _ = writeln!(json, "      \"served\": {},", total.served[tier.index()]);
-        let _ = writeln!(json, "      \"latency_p50_ms\": {:.4},", latency_ms(*tier, 0.5));
-        let _ = writeln!(json, "      \"latency_p99_ms\": {:.4},", latency_ms(*tier, 0.99));
-        if total.served[tier.index()] == 0 {
-            // A tier that served nothing has no accuracy sample; null beats
-            // a fabricated 0.0 that downstream dashboards would average in.
-            let _ = writeln!(json, "      \"hits_at_1\": null,");
-            let _ = writeln!(json, "      \"mrr\": null,");
-            let _ = writeln!(json, "      \"mrr_vs_full\": null");
-        } else {
-            let _ = writeln!(json, "      \"hits_at_1\": {:.4},", m.hits_at_1);
-            let _ = writeln!(json, "      \"mrr\": {:.4},", m.mrr);
-            let _ =
-                writeln!(json, "      \"mrr_vs_full\": {:.4}", m.mrr as f64 / full_mrr.max(1e-9));
-        }
-        let _ = writeln!(json, "    }}{}", if i + 1 < Tier::COUNT { "," } else { "" });
-    }
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"shed_rate\": {shed_rate:.4},");
-    let _ = writeln!(json, "  \"breaker_trips\": {},", total.breaker_trips);
-    let _ = writeln!(json, "  \"retries\": {},", total.retries);
-    let _ = writeln!(json, "  \"deadline_exceeded\": {},", total.deadline_exceeded);
-    let _ = writeln!(json, "  \"trace\": {{");
-    let _ = writeln!(json, "    \"seen\": {},", trace_total.seen);
-    let _ = writeln!(json, "    \"sampled\": {},", trace_total.sampled);
-    let _ = writeln!(json, "    \"sampled_flagged\": {},", trace_total.sampled_flagged);
-    let _ = writeln!(json, "    \"sampled_tail\": {},", trace_total.sampled_tail);
-    let _ = writeln!(json, "    \"sampled_baseline\": {},", trace_total.sampled_baseline);
-    let _ = writeln!(json, "    \"slo_good\": {},", trace_total.slo_good);
-    let _ = writeln!(json, "    \"slo_bad\": {},", trace_total.slo_bad);
-    let _ = writeln!(json, "    \"slo_alerts\": {},", trace_total.slo_alerts);
-    let _ = writeln!(json, "    \"slo_burn_peak\": {:.3}", trace_total.slo_burn_peak);
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"drill1_latency_pass\": {drill1_pass},");
-    let _ = writeln!(json, "  \"drill2_panic_breaker_pass\": {drill2_pass},");
-    let _ = writeln!(json, "  \"drill3_nan_pass\": {drill3_pass},");
-    let _ = writeln!(json, "  \"drill4_corrupt_cache_pass\": {drill4_pass},");
-    let _ = writeln!(json, "  \"drill5_shed_pass\": {drill5_pass},");
-    let _ = writeln!(json, "  \"drill6_disk_fault_pass\": {drill6_pass},");
-    let _ = writeln!(json, "  \"determinism_pass\": {determinism_pass},");
-    let _ = writeln!(json, "  \"all_pass\": {all_pass}");
-    json.push_str("}\n");
-    std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
-    println!("wrote BENCH_chaos.json");
+        let served = total.served[tier.index()];
+        // A tier that served nothing has no accuracy sample; null beats a
+        // fabricated 0.0 that downstream dashboards would average in.
+        let accuracy = |x: f64| (served > 0).then(|| Value::fixed(x, 4));
+        let row = Object::new()
+            .field("served", served)
+            .field("latency_p50_ms", Value::fixed(latency_ms(*tier, 0.5), 4))
+            .field("latency_p99_ms", Value::fixed(latency_ms(*tier, 0.99), 4))
+            .field("hits_at_1", accuracy(m.hits_at_1 as f64))
+            .field("mrr", accuracy(m.mrr as f64))
+            .field("mrr_vs_full", accuracy(m.mrr as f64 / full_mrr.max(1e-9)));
+        tiers.field(tier.label(), row)
+    });
+    let summary = Object::new()
+        .field("harness", "chaos_drill")
+        .field("scale", if quick { "quick" } else { "standard" })
+        .field("entities", entities)
+        .field("images", images)
+        .field("requests_per_drill", n)
+        .field("tiers", tiers)
+        .field("shed_rate", Value::fixed(shed_rate, 4))
+        .field("breaker_trips", total.breaker_trips)
+        .field("retries", total.retries)
+        .field("deadline_exceeded", total.deadline_exceeded)
+        .field("trace", report::trace_stats(&trace_total))
+        .field("drill1_latency_pass", drill1_pass)
+        .field("drill2_panic_breaker_pass", drill2_pass)
+        .field("drill3_nan_pass", drill3_pass)
+        .field("drill4_corrupt_cache_pass", drill4_pass)
+        .field("drill5_shed_pass", drill5_pass)
+        .field("drill6_disk_fault_pass", drill6_pass)
+        .field("determinism_pass", determinism_pass)
+        .field("all_pass", all_pass);
+    report::publish("BENCH_chaos.json", summary);
 
     if !all_pass {
         std::process::exit(1);
@@ -520,18 +502,6 @@ fn total_add(total: &mut ServeStats, stats: &ServeStats) {
     total.wave_fallbacks += stats.wave_fallbacks;
     total.shards_quarantined += stats.shards_quarantined;
     total.shards_repaired += stats.shards_repaired;
-}
-
-fn trace_add(total: &mut TraceStats, stats: TraceStats) {
-    total.seen += stats.seen;
-    total.sampled += stats.sampled;
-    total.sampled_flagged += stats.sampled_flagged;
-    total.sampled_tail += stats.sampled_tail;
-    total.sampled_baseline += stats.sampled_baseline;
-    total.slo_good += stats.slo_good;
-    total.slo_bad += stats.slo_bad;
-    total.slo_alerts += stats.slo_alerts;
-    total.slo_burn_peak = total.slo_burn_peak.max(stats.slo_burn_peak);
 }
 
 fn verdict(pass: bool) -> &'static str {

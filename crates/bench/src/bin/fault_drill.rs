@@ -23,15 +23,15 @@
 //! Timings (checkpoint write/read latency, resume overhead) are written to
 //! `BENCH_robustness.json`. Honours `--quick`.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
 use cem_bench::faults::{
     corrupt_byte, flip_bit, truncate_file, CrashAfterEpoch, DiskFaultPlan, NanPoisoner,
 };
-use cem_bench::{prepare, HarnessConfig, PreparedBundle};
+use cem_bench::{prepare, report, HarnessConfig, PreparedBundle};
 use cem_data::DatasetKind;
+use cem_obs::{Object, Value};
 use cem_tensor::io::StateDict;
 use cem_tensor::Tensor;
 use crossem::guard::FaultInjector;
@@ -386,40 +386,34 @@ fn main() {
     );
     println!("fault drill: {}", if all_pass { "ALL PASS" } else { "FAILURES" });
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"harness\": \"fault_drill\",");
-    let _ = writeln!(
-        json,
-        "  \"scale\": \"{}\",",
-        if std::env::args().any(|a| a == "--quick") { "quick" } else { "standard" }
-    );
-    let _ = writeln!(json, "  \"epochs\": {epochs},");
-    let _ = writeln!(json, "  \"crash_epoch\": {crash_epoch},");
-    let _ = writeln!(json, "  \"drill1_crash_resume_pass\": {drill1_pass},");
-    let _ = writeln!(json, "  \"drill1_max_param_diff\": {diff},");
-    let _ = writeln!(json, "  \"drill1_mrr_full\": {},", full.mrr);
-    let _ = writeln!(json, "  \"drill1_mrr_resumed\": {},", resumed.mrr);
-    let _ = writeln!(json, "  \"drill2_nan_rollback_pass\": {drill2_pass},");
-    let _ = writeln!(json, "  \"drill2_nan_batches\": {},", poisoned.report.nan_batches());
-    let _ = writeln!(json, "  \"drill2_rollbacks\": {},", poisoned.report.rollbacks());
-    let _ = writeln!(json, "  \"drill3_corruption_pass\": {drill3_pass},");
-    let _ = writeln!(json, "  \"drill3_cases\": {cases},");
-    let _ = writeln!(json, "  \"drill3_rejected\": {rejected},");
-    let _ = writeln!(json, "  \"drill4_torn_rotation_pass\": {drill4_pass},");
-    let _ = writeln!(json, "  \"drill4_cases\": {torn_cases},");
-    let _ = writeln!(json, "  \"drill4_fallbacks\": {torn_fallbacks},");
-    let _ = writeln!(json, "  \"drill5_disk_plan_pass\": {drill5_pass},");
-    let _ = writeln!(json, "  \"drill5_cases\": {plan_cases},");
-    let _ = writeln!(json, "  \"drill5_recovered\": {plan_recovered},");
-    let _ = writeln!(json, "  \"drill5_transient_retries\": {transient_retries},");
-    let _ = writeln!(json, "  \"drill5_backoff_units\": {transient_backoff},");
-    let _ = writeln!(json, "  \"checkpoint_bytes\": {checkpoint_bytes},");
-    let _ = writeln!(json, "  \"checkpoint_write_ms\": {checkpoint_write_ms:.3},");
-    let _ = writeln!(json, "  \"checkpoint_read_ms\": {checkpoint_read_ms:.3},");
-    let _ = writeln!(json, "  \"resume_load_ms\": {resume_load_ms:.3}");
-    json.push_str("}\n");
-    std::fs::write("BENCH_robustness.json", &json).expect("write BENCH_robustness.json");
-    println!("wrote BENCH_robustness.json");
+    let summary = Object::new()
+        .field("harness", "fault_drill")
+        .field("scale", if std::env::args().any(|a| a == "--quick") { "quick" } else { "standard" })
+        .field("epochs", epochs)
+        .field("crash_epoch", crash_epoch)
+        .field("drill1_crash_resume_pass", drill1_pass)
+        .field("drill1_max_param_diff", diff)
+        .field("drill1_mrr_full", full.mrr)
+        .field("drill1_mrr_resumed", resumed.mrr)
+        .field("drill2_nan_rollback_pass", drill2_pass)
+        .field("drill2_nan_batches", poisoned.report.nan_batches())
+        .field("drill2_rollbacks", poisoned.report.rollbacks())
+        .field("drill3_corruption_pass", drill3_pass)
+        .field("drill3_cases", cases)
+        .field("drill3_rejected", rejected)
+        .field("drill4_torn_rotation_pass", drill4_pass)
+        .field("drill4_cases", torn_cases)
+        .field("drill4_fallbacks", torn_fallbacks)
+        .field("drill5_disk_plan_pass", drill5_pass)
+        .field("drill5_cases", plan_cases)
+        .field("drill5_recovered", plan_recovered)
+        .field("drill5_transient_retries", transient_retries)
+        .field("drill5_backoff_units", transient_backoff)
+        .field("checkpoint_bytes", checkpoint_bytes)
+        .field("checkpoint_write_ms", Value::fixed(checkpoint_write_ms, 3))
+        .field("checkpoint_read_ms", Value::fixed(checkpoint_read_ms, 3))
+        .field("resume_load_ms", Value::fixed(resume_load_ms, 3));
+    report::publish("BENCH_robustness.json", summary);
 
     for dir in [dir_full, dir_crash, timing_dir, dir_torn, dir_plan] {
         std::fs::remove_dir_all(dir).ok();

@@ -28,10 +28,9 @@
 //! `BENCH_serving.json` (`"harness": "load_drill"`). Honours `--smoke` /
 //! `--quick`.
 
-use std::fmt::Write as _;
-
 use cem_bench::load::{bursty, diurnal, poisson, with_hot_keys, BurstSpec};
-use cem_obs::{ObsSession, RunManifest, Value};
+use cem_bench::report;
+use cem_obs::{Object, ObsSession, RunManifest, Value};
 use cem_serve::{
     splitmix64, Arrival, Generation, GenerationStore, MatchService, NoFaults, Outcome, Response,
     ServeConfig, ServeIndex, ServeStats, Tier, TraceStats,
@@ -147,44 +146,26 @@ fn run_scenario(
     (responses, report)
 }
 
-fn scenario_json(json: &mut String, name: &str, r: &Report, pass: bool, last: bool) {
-    let _ = writeln!(json, "  \"{name}\": {{");
-    let _ = writeln!(json, "    \"requests\": {},", r.requests);
-    let _ = writeln!(json, "    \"served\": {},", r.stats.served_total());
-    let _ = writeln!(json, "    \"shed\": {},", r.stats.shed);
-    let _ = writeln!(json, "    \"expired\": {},", r.stats.expired);
-    let _ = writeln!(json, "    \"deadline_exceeded\": {},", r.stats.deadline_exceeded);
-    let _ = writeln!(json, "    \"internal_errors\": {},", r.stats.internal_errors);
-    let _ = writeln!(json, "    \"loss_rate\": {:.4},", r.loss_rate);
-    let _ = writeln!(json, "    \"latency_units_p50\": {},", r.p50);
-    let _ = writeln!(json, "    \"latency_units_p99\": {},", r.p99);
-    let _ = writeln!(json, "    \"latency_units_p999\": {},", r.p999);
-    let _ = writeln!(json, "    \"throughput_rps\": {:.0},", r.throughput_rps);
-    let _ = writeln!(json, "    \"waves\": {},", r.stats.waves);
-    let _ = writeln!(json, "    \"brownout_waves\": {{");
-    for (i, tier) in Tier::ALL.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      \"{}\": {}{}",
-            tier.label(),
-            r.stats.brownout_waves[tier.index()],
-            if i + 1 < Tier::COUNT { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "    }},");
-    let _ = writeln!(json, "    \"trace\": {{");
-    let _ = writeln!(json, "      \"seen\": {},", r.trace.seen);
-    let _ = writeln!(json, "      \"sampled\": {},", r.trace.sampled);
-    let _ = writeln!(json, "      \"sampled_flagged\": {},", r.trace.sampled_flagged);
-    let _ = writeln!(json, "      \"sampled_tail\": {},", r.trace.sampled_tail);
-    let _ = writeln!(json, "      \"sampled_baseline\": {},", r.trace.sampled_baseline);
-    let _ = writeln!(json, "      \"slo_good\": {},", r.trace.slo_good);
-    let _ = writeln!(json, "      \"slo_bad\": {},", r.trace.slo_bad);
-    let _ = writeln!(json, "      \"slo_alerts\": {},", r.trace.slo_alerts);
-    let _ = writeln!(json, "      \"slo_burn_peak\": {:.3}", r.trace.slo_burn_peak);
-    let _ = writeln!(json, "    }},");
-    let _ = writeln!(json, "    \"pass\": {pass}");
-    let _ = writeln!(json, "  }}{}", if last { "" } else { "," });
+fn scenario(r: &Report, pass: bool) -> Object {
+    let brownout_waves = Tier::ALL
+        .iter()
+        .fold(Object::new(), |o, t| o.field(t.label(), r.stats.brownout_waves[t.index()]));
+    Object::new()
+        .field("requests", r.requests)
+        .field("served", r.stats.served_total())
+        .field("shed", r.stats.shed)
+        .field("expired", r.stats.expired)
+        .field("deadline_exceeded", r.stats.deadline_exceeded)
+        .field("internal_errors", r.stats.internal_errors)
+        .field("loss_rate", Value::fixed(r.loss_rate, 4))
+        .field("latency_units_p50", r.p50)
+        .field("latency_units_p99", r.p99)
+        .field("latency_units_p999", r.p999)
+        .field("throughput_rps", Value::fixed(r.throughput_rps, 0))
+        .field("waves", r.stats.waves)
+        .field("brownout_waves", brownout_waves)
+        .field("trace", report::trace_stats(&r.trace))
+        .field("pass", pass)
 }
 
 fn verdict(pass: bool) -> &'static str {
@@ -443,38 +424,36 @@ fn main() {
         if all_pass { "ALL PASS" } else { "FAILURES" }
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"harness\": \"load_drill\",");
-    let _ = writeln!(json, "  \"scale\": \"{}\",", if quick { "smoke" } else { "standard" });
-    let _ = writeln!(json, "  \"entities\": {ENTITIES},");
-    let _ = writeln!(json, "  \"images\": {IMAGES},");
-    let _ = writeln!(json, "  \"requests_total\": {total_requests},");
-    let _ = writeln!(json, "  \"saturation_req_per_unit\": {saturation:.4},");
-    scenario_json(&mut json, "baseline", &baseline, baseline_pass, false);
-    scenario_json(&mut json, "burst_brownout_on", &on, burst_pass, false);
-    scenario_json(&mut json, "burst_brownout_off", &off, burst_pass, false);
-    scenario_json(&mut json, "diurnal_hotkey", &diurnal_report, diurnal_pass, false);
-    let _ = writeln!(json, "  \"hotswap\": {{");
-    let _ = writeln!(json, "    \"requests\": {},", scale.swap_n);
-    let _ = writeln!(json, "    \"promotes\": {},", swap_report.stats.hotswap_promotes);
-    let _ = writeln!(json, "    \"rejects\": {},", swap_report.stats.hotswap_rejects);
-    let _ = writeln!(json, "    \"mixed\": {mixed},");
-    let _ = writeln!(json, "    \"dropped\": {dropped},");
-    let _ = writeln!(json, "    \"swap_downtime_waves\": {swap_downtime_waves},");
-    let _ = writeln!(json, "    \"pass\": {swap_pass}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"slo_alerts_baseline\": {},", baseline.trace.slo_alerts);
-    let _ = writeln!(json, "  \"slo_alerts_burst\": {},", on.trace.slo_alerts);
-    let _ = writeln!(json, "  \"trace_stream\": \"{trace_out}\",");
-    let _ = writeln!(json, "  \"baseline_pass\": {baseline_pass},");
-    let _ = writeln!(json, "  \"burst_brownout_pass\": {burst_pass},");
-    let _ = writeln!(json, "  \"diurnal_hotkey_pass\": {diurnal_pass},");
-    let _ = writeln!(json, "  \"hotswap_pass\": {swap_pass},");
-    let _ = writeln!(json, "  \"determinism_pass\": {determinism_pass},");
-    let _ = writeln!(json, "  \"all_pass\": {all_pass}");
-    json.push_str("}\n");
-    std::fs::write("BENCH_serving.json", &json).expect("write BENCH_serving.json");
-    println!("wrote BENCH_serving.json");
+    let hotswap = Object::new()
+        .field("requests", scale.swap_n)
+        .field("promotes", swap_report.stats.hotswap_promotes)
+        .field("rejects", swap_report.stats.hotswap_rejects)
+        .field("mixed", mixed)
+        .field("dropped", dropped)
+        .field("swap_downtime_waves", swap_downtime_waves)
+        .field("pass", swap_pass);
+    let summary = Object::new()
+        .field("harness", "load_drill")
+        .field("scale", if quick { "smoke" } else { "standard" })
+        .field("entities", ENTITIES)
+        .field("images", IMAGES)
+        .field("requests_total", total_requests)
+        .field("saturation_req_per_unit", Value::fixed(saturation, 4))
+        .field("baseline", scenario(&baseline, baseline_pass))
+        .field("burst_brownout_on", scenario(&on, burst_pass))
+        .field("burst_brownout_off", scenario(&off, burst_pass))
+        .field("diurnal_hotkey", scenario(&diurnal_report, diurnal_pass))
+        .field("hotswap", hotswap)
+        .field("slo_alerts_baseline", baseline.trace.slo_alerts)
+        .field("slo_alerts_burst", on.trace.slo_alerts)
+        .field("trace_stream", trace_out.as_str())
+        .field("baseline_pass", baseline_pass)
+        .field("burst_brownout_pass", burst_pass)
+        .field("diurnal_hotkey_pass", diurnal_pass)
+        .field("hotswap_pass", swap_pass)
+        .field("determinism_pass", determinism_pass)
+        .field("all_pass", all_pass);
+    report::publish("BENCH_serving.json", summary);
 
     session.finish(&[
         ("slo_alerts_baseline", Value::Num(baseline.trace.slo_alerts as f64)),

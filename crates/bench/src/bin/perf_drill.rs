@@ -29,12 +29,12 @@
 //! Results land in `BENCH_perf.json`. Honours `--quick`; `--smoke` is the
 //! same scale with the large GEMM sizes dropped (for CI).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use cem_bench::{default_plus, prepare, HarnessConfig, PreparedBundle};
+use cem_bench::{default_plus, prepare, report, HarnessConfig, PreparedBundle};
 use cem_data::DatasetKind;
 use cem_nn::gnn::neighbor_mean;
+use cem_obs::{Object, Value};
 use cem_tensor::{crc, kernels, memory, par, Tensor};
 use crossem::matcher::{key_id, rank_key, rank_row, score_cmp, select_top};
 use crossem::plus::minibatch::pairwise_proximity;
@@ -728,148 +728,112 @@ fn main() {
         if all_pass { "ALL PASS" } else { "FAILURES" },
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"harness\": \"perf_drill\",");
-    let _ = writeln!(json, "  \"scale\": \"{}\",", if quick { "quick" } else { "standard" });
-    let _ = writeln!(json, "  \"machine_threads\": {},", par::machine_threads());
-    let _ = writeln!(json, "  \"thread_budget\": {},", par::max_threads());
-    let _ = writeln!(json, "  \"threads_drilled\": [1, 2, 4],");
-    let _ = writeln!(
-        json,
-        "  \"simd_active\": {},",
-        cem_tensor::microkernel::simd_active()
-    );
-    let _ = writeln!(json, "  \"gemm\": [");
-    for (i, row) in gemm_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"n\": {}, \"naive_ms\": {:.3}, \"blocked_t1_ms\": {:.3}, \
-             \"blocked_t2_ms\": {:.3}, \"blocked_t4_ms\": {:.3}, \
-             \"packed_t1_ms\": {:.3}, \"packed_t2_ms\": {:.3}, \"packed_t4_ms\": {:.3}, \
-             \"auto_tier\": \"{}\", \"scaling_t4\": {:.3}, \
-             \"speedup_vs_naive\": {:.3}, \"threads_bit_identical\": {}}}{}",
-            row.n,
-            row.naive_ms,
-            row.blocked_ms[0],
-            row.blocked_ms[1],
-            row.blocked_ms[2],
-            row.packed_ms[0],
-            row.packed_ms[1],
-            row.packed_ms[2],
-            row.auto_tier,
-            row.scaling_t4(),
-            row.naive_ms / row.auto_t1_ms(),
-            row.identical,
-            if i + 1 < gemm_rows.len() { "," } else { "" },
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"scaling\": {{");
-    let _ = writeln!(json, "    \"required_t4_over_t1\": 2.0,");
-    let _ = writeln!(json, "    \"applicable\": {scaling_applicable},");
-    let _ = writeln!(json, "    \"pass\": {scaling_ok},");
-    let _ = writeln!(json, "    \"verdict\": \"{}\"", scaling_msg.replace('"', "'"));
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"proximity_t1_ms\": {:.3},", prox_ms[0]);
-    let _ = writeln!(json, "  \"proximity_t2_ms\": {:.3},", prox_ms[1]);
-    let _ = writeln!(json, "  \"proximity_t4_ms\": {:.3},", prox_ms[2]);
-    let _ = writeln!(
-        json,
-        "  \"proximity_scaling_t4\": {:.3},",
-        prox_ms[0] / prox_ms[2].max(1e-9)
-    );
-    let _ = writeln!(json, "  \"proximity_bit_identical\": {prox_identical},");
-    let _ = writeln!(json, "  \"cache_miss_ms\": {cache_miss_ms:.3},");
-    let _ = writeln!(json, "  \"cache_hit_ms\": {cache_hit_ms:.4},");
-    let _ = writeln!(
-        json,
-        "  \"cache_speedup\": {:.1},",
-        cache_miss_ms / cache_hit_ms.max(1e-6)
-    );
-    let _ = writeln!(json, "  \"crossem_epoch_t1_s\": {:.4},", em_runs[0].seconds);
-    let _ = writeln!(json, "  \"crossem_epoch_t2_s\": {:.4},", em_runs[1].seconds);
-    let _ = writeln!(json, "  \"crossem_epoch_t4_s\": {:.4},", em_runs[2].seconds);
-    let _ = writeln!(json, "  \"crossem_bit_identical\": {em_identical},");
-    let _ = writeln!(json, "  \"crossem_plus_epoch_t1_s\": {:.4},", plus_runs[0].seconds);
-    let _ = writeln!(json, "  \"crossem_plus_epoch_t2_s\": {:.4},", plus_runs[1].seconds);
-    let _ = writeln!(json, "  \"crossem_plus_epoch_t4_s\": {:.4},", plus_runs[2].seconds);
-    let _ = writeln!(json, "  \"crossem_plus_bit_identical\": {plus_identical},");
-    let _ = writeln!(json, "  \"crc\": [");
-    for (i, row) in crc_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"input\": \"{}\", \"bytes\": {}, \"bytewise_mb_per_s\": {:.1}, \
-             \"sliced_mb_per_s\": {:.1}, \"speedup\": {:.2}}}{}",
-            row.input,
-            row.bytes,
-            row.bytewise_mb_s,
-            row.sliced_mb_s,
-            row.sliced_mb_s / row.bytewise_mb_s,
-            if i + 1 < crc_rows.len() { "," } else { "" },
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"crc_bit_identical\": {crc_bit_identical},");
-    let _ = writeln!(json, "  \"rank\": [");
-    for (i, row) in rank_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"input\": \"{}\", \"n\": {}, \"k\": {}, \"reference_us\": {:.3}, \
-             \"kernel_us\": {:.3}, \"speedup\": {:.2}}}{}",
-            row.input,
-            row.n,
-            row.k,
-            row.reference_us,
-            row.kernel_us,
-            row.reference_us / row.kernel_us,
-            if i + 1 < rank_rows.len() { "," } else { "" },
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"rank_identical\": {rank_identical},");
-    let _ = writeln!(
-        json,
-        "  \"backward\": {{\"vertices\": {}, \"adjacency_entries\": {}, \"dim\": {}, \
-         \"neighbor_mean_chain_ms\": {:.4}, \"neighbor_mean_segment_ms\": {:.4}, \
-         \"speedup\": {:.2}, \"plus_batches_t1\": {}, \"encode_ms_per_batch\": {:.4}, \
-         \"backward_ms_per_batch\": {:.4}, \"optimiser_ms_per_batch\": {:.4}, \
-         \"allocations_per_batch\": {}}},",
-        bwd.vertices,
-        bwd.entries,
-        bwd.dim,
-        bwd.chain_ms,
-        bwd.segment_ms,
-        bwd.chain_ms / bwd.segment_ms.max(1e-9),
-        bwd.batches,
-        bwd.encode_ms,
-        bwd.backward_ms,
-        bwd.optim_ms,
-        bwd.allocs_per_batch,
-    );
-    let _ = writeln!(json, "  \"backward_identical\": {backward_identical},");
-    let _ = writeln!(json, "  \"obs_counters\": {{");
-    let _ = writeln!(
-        json,
-        "    \"gemm_dispatch_blocked_parallel\": {},",
-        counter("gemm.dispatch.blocked_parallel")
-    );
-    let _ = writeln!(
-        json,
-        "    \"gemm_dispatch_serial_fallback\": {},",
-        counter("gemm.dispatch.serial_fallback")
-    );
-    let _ = writeln!(json, "    \"gemm_tier_packed\": {},", counter("gemm.tier.packed"));
-    let _ = writeln!(json, "    \"gemm_tier_blocked\": {},", counter("gemm.tier.blocked"));
-    let _ = writeln!(json, "    \"cache_features_hit\": {},", counter("cache.features.hit"));
-    let _ = writeln!(json, "    \"cache_features_miss\": {},", counter("cache.features.miss"));
-    let _ = writeln!(json, "    \"cache_proximity_hit\": {},", counter("cache.proximity.hit"));
-    let _ = writeln!(json, "    \"cache_proximity_miss\": {},", counter("cache.proximity.miss"));
-    let _ = writeln!(json, "    \"cache_evict\": {}", counter("cache.evict"));
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"all_pass\": {all_pass}");
-    json.push_str("}\n");
-    std::fs::write("BENCH_perf.json", &json).expect("write BENCH_perf.json");
-    println!("wrote BENCH_perf.json");
+    let fixed = Value::fixed;
+    let gemm: Vec<Object> = gemm_rows
+        .iter()
+        .map(|row| {
+            Object::new()
+                .field("n", row.n)
+                .field("naive_ms", fixed(row.naive_ms, 3))
+                .field("blocked_t1_ms", fixed(row.blocked_ms[0], 3))
+                .field("blocked_t2_ms", fixed(row.blocked_ms[1], 3))
+                .field("blocked_t4_ms", fixed(row.blocked_ms[2], 3))
+                .field("packed_t1_ms", fixed(row.packed_ms[0], 3))
+                .field("packed_t2_ms", fixed(row.packed_ms[1], 3))
+                .field("packed_t4_ms", fixed(row.packed_ms[2], 3))
+                .field("auto_tier", row.auto_tier)
+                .field("scaling_t4", fixed(row.scaling_t4(), 3))
+                .field("speedup_vs_naive", fixed(row.naive_ms / row.auto_t1_ms(), 3))
+                .field("threads_bit_identical", row.identical)
+        })
+        .collect();
+    let scaling = Object::new()
+        .field("required_t4_over_t1", 2.0)
+        .field("applicable", scaling_applicable)
+        .field("pass", scaling_ok)
+        .field("verdict", scaling_msg);
+    let crc: Vec<Object> = crc_rows
+        .iter()
+        .map(|row| {
+            Object::new()
+                .field("input", row.input)
+                .field("bytes", row.bytes)
+                .field("bytewise_mb_per_s", fixed(row.bytewise_mb_s, 1))
+                .field("sliced_mb_per_s", fixed(row.sliced_mb_s, 1))
+                .field("speedup", fixed(row.sliced_mb_s / row.bytewise_mb_s, 2))
+        })
+        .collect();
+    let rank: Vec<Object> = rank_rows
+        .iter()
+        .map(|row| {
+            Object::new()
+                .field("input", row.input)
+                .field("n", row.n)
+                .field("k", row.k)
+                .field("reference_us", fixed(row.reference_us, 3))
+                .field("kernel_us", fixed(row.kernel_us, 3))
+                .field("speedup", fixed(row.reference_us / row.kernel_us, 2))
+        })
+        .collect();
+    let backward = Object::new()
+        .field("vertices", bwd.vertices)
+        .field("adjacency_entries", bwd.entries)
+        .field("dim", bwd.dim)
+        .field("neighbor_mean_chain_ms", fixed(bwd.chain_ms, 4))
+        .field("neighbor_mean_segment_ms", fixed(bwd.segment_ms, 4))
+        .field("speedup", fixed(bwd.chain_ms / bwd.segment_ms.max(1e-9), 2))
+        .field("plus_batches_t1", bwd.batches)
+        .field("encode_ms_per_batch", fixed(bwd.encode_ms, 4))
+        .field("backward_ms_per_batch", fixed(bwd.backward_ms, 4))
+        .field("optimiser_ms_per_batch", fixed(bwd.optim_ms, 4))
+        .field("allocations_per_batch", bwd.allocs_per_batch);
+    let obs_counters = [
+        "gemm.dispatch.blocked_parallel",
+        "gemm.dispatch.serial_fallback",
+        "gemm.tier.packed",
+        "gemm.tier.blocked",
+        "cache.features.hit",
+        "cache.features.miss",
+        "cache.proximity.hit",
+        "cache.proximity.miss",
+        "cache.evict",
+    ]
+    .into_iter()
+    .fold(Object::new(), |o, name| o.field(name.replace('.', "_"), counter(name)));
+    let summary = Object::new()
+        .field("harness", "perf_drill")
+        .field("scale", if quick { "quick" } else { "standard" })
+        .field("machine_threads", par::machine_threads())
+        .field("thread_budget", par::max_threads())
+        .field("threads_drilled", THREADS.to_vec())
+        .field("simd_active", cem_tensor::microkernel::simd_active())
+        .field("gemm", gemm)
+        .field("scaling", scaling)
+        .field("proximity_t1_ms", fixed(prox_ms[0], 3))
+        .field("proximity_t2_ms", fixed(prox_ms[1], 3))
+        .field("proximity_t4_ms", fixed(prox_ms[2], 3))
+        .field("proximity_scaling_t4", fixed(prox_ms[0] / prox_ms[2].max(1e-9), 3))
+        .field("proximity_bit_identical", prox_identical)
+        .field("cache_miss_ms", fixed(cache_miss_ms, 3))
+        .field("cache_hit_ms", fixed(cache_hit_ms, 4))
+        .field("cache_speedup", fixed(cache_miss_ms / cache_hit_ms.max(1e-6), 1))
+        .field("crossem_epoch_t1_s", fixed(em_runs[0].seconds, 4))
+        .field("crossem_epoch_t2_s", fixed(em_runs[1].seconds, 4))
+        .field("crossem_epoch_t4_s", fixed(em_runs[2].seconds, 4))
+        .field("crossem_bit_identical", em_identical)
+        .field("crossem_plus_epoch_t1_s", fixed(plus_runs[0].seconds, 4))
+        .field("crossem_plus_epoch_t2_s", fixed(plus_runs[1].seconds, 4))
+        .field("crossem_plus_epoch_t4_s", fixed(plus_runs[2].seconds, 4))
+        .field("crossem_plus_bit_identical", plus_identical)
+        .field("crc", crc)
+        .field("crc_bit_identical", crc_bit_identical)
+        .field("rank", rank)
+        .field("rank_identical", rank_identical)
+        .field("backward", backward)
+        .field("backward_identical", backward_identical)
+        .field("obs_counters", obs_counters)
+        .field("all_pass", all_pass);
+    report::publish("BENCH_perf.json", summary);
 
     if !all_pass {
         std::process::exit(1);

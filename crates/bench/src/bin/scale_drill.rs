@@ -23,9 +23,10 @@
 //! Honours `--smoke` / `--quick` (smaller dim/clusters, still ≥100k
 //! images). Exits non-zero if any gate fails.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use cem_bench::report;
+use cem_obs::{Object, Value};
 use cem_serve::{
     splitmix64, Generation, GenerationStore, MatchRequest, MatchService, NoFaults, ServeConfig,
     ServeIndex, ShardedIndex, TraceStats,
@@ -307,17 +308,8 @@ fn main() {
     eprintln!("[hotswap] shard sections through the generation store …");
     let (hotswap_pass, hotswap_trace) = hotswap_e2e();
     println!("[hotswap] round-trip serve equivalence → {}", verdict(hotswap_pass));
-    let trace = TraceStats {
-        seen: service_trace.seen + hotswap_trace.seen,
-        sampled: service_trace.sampled + hotswap_trace.sampled,
-        sampled_flagged: service_trace.sampled_flagged + hotswap_trace.sampled_flagged,
-        sampled_tail: service_trace.sampled_tail + hotswap_trace.sampled_tail,
-        sampled_baseline: service_trace.sampled_baseline + hotswap_trace.sampled_baseline,
-        slo_good: service_trace.slo_good + hotswap_trace.slo_good,
-        slo_bad: service_trace.slo_bad + hotswap_trace.slo_bad,
-        slo_alerts: service_trace.slo_alerts + hotswap_trace.slo_alerts,
-        slo_burn_peak: service_trace.slo_burn_peak.max(hotswap_trace.slo_burn_peak),
-    };
+    let mut trace = service_trace;
+    trace.merge(&hotswap_trace);
     println!(
         "[trace] {} requests seen, {} sampled ({} flagged / {} tail / {} baseline)",
         trace.seen, trace.sampled, trace.sampled_flagged, trace.sampled_tail,
@@ -334,48 +326,36 @@ fn main() {
         if all_pass { "ALL PASS" } else { "FAILURES" }
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"harness\": \"scale_drill\",");
-    let _ = writeln!(json, "  \"scale\": \"{}\",", if quick { "smoke" } else { "standard" });
-    let _ = writeln!(json, "  \"images\": {},", scale.images);
-    let _ = writeln!(json, "  \"entities\": {},", scale.entities);
-    let _ = writeln!(json, "  \"dim\": {},", scale.dim);
-    let _ = writeln!(json, "  \"nclusters\": {},", scale.nclusters);
-    let _ = writeln!(json, "  \"nprobe\": {},", scale.nprobe);
-    let _ = writeln!(json, "  \"build_seconds\": {build_seconds:.2},");
-    let _ = writeln!(json, "  \"dense\": {{");
-    let _ = writeln!(json, "    \"candidates_per_request\": {},", scale.images);
-    let _ = writeln!(json, "    \"per_request_nanos\": {dense_nanos:.0}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"ivf\": {{");
-    let _ = writeln!(json, "    \"candidates_per_request\": {candidates_per_request:.0},");
-    let _ = writeln!(json, "    \"per_request_nanos\": {ivf_nanos:.0},");
-    let _ = writeln!(json, "    \"probed_fraction\": {probed_fraction:.4},");
-    let _ = writeln!(json, "    \"batched_gemms\": {batched},");
-    let _ = writeln!(json, "    \"single_gemms\": {single}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"wall_speedup\": {speedup:.2},");
-    let _ = writeln!(json, "  \"trace\": {{");
-    let _ = writeln!(json, "    \"seen\": {},", trace.seen);
-    let _ = writeln!(json, "    \"sampled\": {},", trace.sampled);
-    let _ = writeln!(json, "    \"sampled_flagged\": {},", trace.sampled_flagged);
-    let _ = writeln!(json, "    \"sampled_tail\": {},", trace.sampled_tail);
-    let _ = writeln!(json, "    \"sampled_baseline\": {},", trace.sampled_baseline);
-    let _ = writeln!(json, "    \"slo_good\": {},", trace.slo_good);
-    let _ = writeln!(json, "    \"slo_bad\": {},", trace.slo_bad);
-    let _ = writeln!(json, "    \"slo_alerts\": {},", trace.slo_alerts);
-    let _ = writeln!(json, "    \"slo_burn_peak\": {:.3}", trace.slo_burn_peak);
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"recall_at_10\": {recall:.4},");
-    let _ = writeln!(json, "  \"sublinear_pass\": {sublinear_pass},");
-    let _ = writeln!(json, "  \"recall_pass\": {recall_pass},");
-    let _ = writeln!(json, "  \"determinism_pass\": {determinism_pass},");
-    let _ = writeln!(json, "  \"service_e2e_pass\": {service_pass},");
-    let _ = writeln!(json, "  \"hotswap_pass\": {hotswap_pass},");
-    let _ = writeln!(json, "  \"all_pass\": {all_pass}");
-    json.push_str("}\n");
-    std::fs::write("BENCH_scale.json", &json).expect("write BENCH_scale.json");
-    println!("wrote BENCH_scale.json");
+    let dense = Object::new()
+        .field("candidates_per_request", scale.images)
+        .field("per_request_nanos", Value::fixed(dense_nanos, 0));
+    let ivf = Object::new()
+        .field("candidates_per_request", Value::fixed(candidates_per_request, 0))
+        .field("per_request_nanos", Value::fixed(ivf_nanos, 0))
+        .field("probed_fraction", Value::fixed(probed_fraction, 4))
+        .field("batched_gemms", batched)
+        .field("single_gemms", single);
+    let summary = Object::new()
+        .field("harness", "scale_drill")
+        .field("scale", if quick { "smoke" } else { "standard" })
+        .field("images", scale.images)
+        .field("entities", scale.entities)
+        .field("dim", scale.dim)
+        .field("nclusters", scale.nclusters)
+        .field("nprobe", scale.nprobe)
+        .field("build_seconds", Value::fixed(build_seconds, 2))
+        .field("dense", dense)
+        .field("ivf", ivf)
+        .field("wall_speedup", Value::fixed(speedup, 2))
+        .field("trace", report::trace_stats(&trace))
+        .field("recall_at_10", Value::fixed(recall, 4))
+        .field("sublinear_pass", sublinear_pass)
+        .field("recall_pass", recall_pass)
+        .field("determinism_pass", determinism_pass)
+        .field("service_e2e_pass", service_pass)
+        .field("hotswap_pass", hotswap_pass)
+        .field("all_pass", all_pass);
+    report::publish("BENCH_scale.json", summary);
 
     if !all_pass {
         std::process::exit(1);

@@ -28,10 +28,11 @@
 //! stats, and trace stats. Results go to `BENCH_scrub.json`; non-zero exit
 //! on any gate failure. Honours `--quick` / `--smoke`.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use cem_bench::faults::{flip_bit, DiskFaultPlan};
+use cem_bench::report;
+use cem_obs::{Object, Value};
 use cem_serve::{
     splitmix64, Generation, GenerationStore, MatchRequest, MatchService, NoFaults, ServeConfig,
     ServeIndex, ShardedIndex, StoreFile, Tier,
@@ -300,7 +301,7 @@ fn main() {
     let republishes_before = republishes();
     let mut c3_wrong = 0usize;
     let mut c3_waves_to_clean = None;
-    for wave in 1..=5 {
+    for wave in 1..=5usize {
         let got = service.run(&requests, &NoFaults);
         let want = control.run(&requests, &NoFaults);
         if got != want {
@@ -417,34 +418,28 @@ fn main() {
     let all_pass = c1_pass && c2_pass && c3_pass && c4_pass && determinism_pass;
     println!("scrub drill: {}", if all_pass { "ALL PASS" } else { "FAILURES" });
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"harness\": \"scrub_drill\",");
-    let _ = writeln!(json, "  \"scale\": \"{}\",", if quick { "quick" } else { "standard" });
-    let _ = writeln!(json, "  \"entities\": {},", world.entities);
-    let _ = writeln!(json, "  \"images\": {},", world.images);
-    let _ = writeln!(json, "  \"nclusters\": {},", world.nclusters);
-    let _ = writeln!(json, "  \"scrub_sections_per_cycle\": {sections},");
-    let _ = writeln!(json, "  \"bitrot_victims\": {},", victims.len());
-    let _ = writeln!(json, "  \"scrub_detect_pass\": {c1_pass},");
-    let _ = writeln!(json, "  \"scrub_detect_mean_waves_to_heal\": {c1_mean_waves:.3},");
-    let _ = writeln!(json, "  \"scrub_detect_wrong_responses\": {c1_wrong},");
-    let _ = writeln!(json, "  \"serve_detect_pass\": {c2_pass},");
-    let _ = writeln!(json, "  \"serve_detect_mean_waves_to_heal\": {c2_mean_waves:.3},");
-    let _ = writeln!(json, "  \"serve_detect_wrong_responses\": {c2_wrong},");
-    let _ = writeln!(json, "  \"disk_rot_pass\": {c3_pass},");
-    let _ = writeln!(
-        json,
-        "  \"disk_rot_waves_to_clean\": {},",
-        c3_waves_to_clean.map_or("null".to_string(), |w| w.to_string())
-    );
-    let _ = writeln!(json, "  \"disk_rot_wrong_responses\": {c3_wrong},");
-    let _ = writeln!(json, "  \"torn_publish_cases\": {c4_cases},");
-    let _ = writeln!(json, "  \"torn_publish_recovered\": {c4_recovered},");
-    let _ = writeln!(json, "  \"determinism_pass\": {determinism_pass},");
-    let _ = writeln!(json, "  \"all_pass\": {all_pass}");
-    json.push_str("}\n");
-    std::fs::write("BENCH_scrub.json", &json).expect("write BENCH_scrub.json");
-    println!("wrote BENCH_scrub.json");
+    let summary = Object::new()
+        .field("harness", "scrub_drill")
+        .field("scale", if quick { "quick" } else { "standard" })
+        .field("entities", world.entities)
+        .field("images", world.images)
+        .field("nclusters", world.nclusters)
+        .field("scrub_sections_per_cycle", sections)
+        .field("bitrot_victims", victims.len())
+        .field("scrub_detect_pass", c1_pass)
+        .field("scrub_detect_mean_waves_to_heal", Value::fixed(c1_mean_waves, 3))
+        .field("scrub_detect_wrong_responses", c1_wrong)
+        .field("serve_detect_pass", c2_pass)
+        .field("serve_detect_mean_waves_to_heal", Value::fixed(c2_mean_waves, 3))
+        .field("serve_detect_wrong_responses", c2_wrong)
+        .field("disk_rot_pass", c3_pass)
+        .field("disk_rot_waves_to_clean", c3_waves_to_clean)
+        .field("disk_rot_wrong_responses", c3_wrong)
+        .field("torn_publish_cases", c4_cases)
+        .field("torn_publish_recovered", c4_recovered)
+        .field("determinism_pass", determinism_pass)
+        .field("all_pass", all_pass);
+    report::publish("BENCH_scrub.json", summary);
 
     if !all_pass {
         std::process::exit(1);

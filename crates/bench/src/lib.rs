@@ -272,4 +272,5 @@ pub fn metric_cells(m: &Metrics) -> Vec<String> {
 }
 pub mod faults;
 pub mod load;
+pub mod report;
 pub mod tables;

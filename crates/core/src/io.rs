@@ -310,13 +310,13 @@ impl Storage {
     }
 
     /// Best-effort fsync of `path`'s parent directory, so a rename into it
-    /// is durable. Errors are swallowed — directory fsync is advisory on
-    /// some filesystems.
+    /// is durable; a bare file name's parent is the working directory.
+    /// Errors are swallowed — directory fsync is advisory on some
+    /// filesystems.
     pub fn fsync_parent(&self, path: &Path) {
-        if let Some(dir) = path.parent() {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+        if let Ok(d) = std::fs::File::open(dir) {
+            let _ = d.sync_all();
         }
     }
 }

@@ -5,20 +5,23 @@
 //!   every other attribute value becomes a value vertex connected by an edge
 //!   labelled `has <column>`; declared foreign keys become entity→entity
 //!   edges labelled with the column name.
-//! * JSON documents — every object becomes an entity vertex (labelled by its
-//!   key path or `name` field); scalar fields become value vertices; string
-//!   values of the form `"@ref:<key>"` become edges to the referenced
-//!   entity.
+//! * JSON documents ([`cem_obs::json::Value`]) — every object becomes an
+//!   entity vertex (labelled by its `name` field or its key); scalar fields
+//!   become value vertices; string values of the form `"@ref:<key>"`
+//!   become edges to the referenced entity. Fields are walked in sorted key
+//!   order, and a repeated key resolves to its last value, so the graph
+//!   does not depend on how a document orders its fields.
 //! * Graphs are merged verbatim.
 //!
 //! Vertices are interned by label, so `white` appearing as the crown colour
 //! of two birds becomes one shared vertex — exactly the structure the
 //! paper's Figure 1(b) shows and the prompt generators exploit.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+
+use cem_obs::json::Value;
 
 use crate::graph::{Graph, VertexId};
-use crate::json::JsonValue;
 use crate::table::Table;
 
 /// Convert a single table into a fresh graph (convenience wrapper over
@@ -30,7 +33,7 @@ pub fn table_to_graph(table: &Table) -> Graph {
 }
 
 /// Convert a single JSON document into a fresh graph.
-pub fn json_to_graph(name: &str, value: &JsonValue) -> Graph {
+pub fn json_to_graph(name: &str, value: &Value) -> Graph {
     let mut builder = DataLakeBuilder::new();
     builder.add_json(name, value);
     builder.build()
@@ -90,74 +93,57 @@ impl DataLakeBuilder {
     }
 
     /// Ingest a JSON document rooted at an entity called `name`.
-    pub fn add_json(&mut self, name: &str, value: &JsonValue) {
+    pub fn add_json(&mut self, name: &str, value: &Value) {
         self.sources += 1;
         let root = self.intern(name);
         self.add_json_value(root, value);
     }
 
-    fn add_json_value(&mut self, parent: VertexId, value: &JsonValue) {
+    fn add_json_value(&mut self, parent: VertexId, value: &Value) {
         match value {
-            JsonValue::Object(map) => {
-                for (key, field) in map {
-                    match field {
-                        JsonValue::Object(_) => {
-                            // Nested object: its own entity, named by `name`
-                            // field if present, otherwise by the key.
-                            let label = field
-                                .get("name")
-                                .and_then(JsonValue::as_str)
-                                .unwrap_or(key)
-                                .to_string();
-                            let child = self.intern(&label);
-                            self.graph.add_edge(parent, child, key.clone());
-                            self.add_json_value(child, field);
-                        }
-                        JsonValue::Array(items) => {
-                            for item in items {
-                                self.add_json_scalar_or_entity(parent, key, item);
-                            }
-                        }
-                        other => self.add_json_scalar_or_entity(parent, key, other),
-                    }
+            Value::Obj(object) => {
+                let fields: BTreeMap<&str, &Value> =
+                    object.0.iter().map(|(key, field)| (key.as_str(), field)).collect();
+                for (key, field) in fields {
+                    self.add_json_field(parent, key, field);
                 }
             }
-            JsonValue::Array(items) => {
+            Value::Arr(items) => {
                 for item in items {
                     self.add_json_value(parent, item);
                 }
             }
-            scalar => self.add_json_scalar_or_entity(parent, "value", scalar),
+            scalar => self.add_json_field(parent, "value", scalar),
         }
     }
 
-    fn add_json_scalar_or_entity(&mut self, parent: VertexId, key: &str, value: &JsonValue) {
+    /// One field `key` of `parent`: a nested object becomes its own entity
+    /// (named by its `name` field if present, otherwise by the key), an
+    /// array fans out, a reference links, any other scalar is a value.
+    fn add_json_field(&mut self, parent: VertexId, key: &str, value: &Value) {
         match value {
-            JsonValue::Null => {}
-            JsonValue::Object(_) => {
-                let label =
-                    value.get("name").and_then(JsonValue::as_str).unwrap_or(key).to_string();
+            Value::Null => {}
+            Value::Obj(_) => {
+                let label = value.get("name").and_then(Value::as_str).unwrap_or(key).to_string();
                 let child = self.intern(&label);
                 self.graph.add_edge(parent, child, key.to_string());
                 self.add_json_value(child, value);
             }
-            JsonValue::Array(items) => {
+            Value::Arr(items) => {
                 for item in items {
-                    self.add_json_scalar_or_entity(parent, key, item);
+                    self.add_json_field(parent, key, item);
                 }
             }
             scalar => {
-                if let Some(reference) = scalar.as_reference() {
-                    let target = self.intern(reference);
-                    self.graph.add_edge(parent, target, key.to_string());
-                } else {
-                    let text = match scalar {
-                        JsonValue::String(s) => s.clone(),
-                        other => other.to_string(),
-                    };
-                    let target = self.intern(&text);
-                    self.graph.add_edge(parent, target, format!("has {key}"));
-                }
+                let (label, edge) = match scalar {
+                    Value::Str(s) => match s.strip_prefix("@ref:") {
+                        Some(reference) => (reference.to_string(), key.to_string()),
+                        None => (s.clone(), format!("has {key}")),
+                    },
+                    number_or_bool => (number_or_bool.to_json(), format!("has {key}")),
+                };
+                let target = self.intern(&label);
+                self.graph.add_edge(parent, target, edge);
             }
         }
     }
@@ -192,6 +178,7 @@ impl DataLakeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::EdgeId;
 
     fn birds_table() -> Table {
         let mut t =
@@ -246,7 +233,7 @@ mod tests {
 
     #[test]
     fn json_objects_become_entities() {
-        let doc = JsonValue::parse(
+        let doc = Value::parse(
             r#"{"name": "laysan albatross", "crown": "white", "habitat": "@ref:hawaii"}"#,
         )
         .unwrap();
@@ -262,7 +249,7 @@ mod tests {
 
     #[test]
     fn json_arrays_fan_out() {
-        let doc = JsonValue::parse(r#"{"colors": ["white", "black", "grey"]}"#).unwrap();
+        let doc = Value::parse(r#"{"colors": ["white", "black", "grey"]}"#).unwrap();
         let g = json_to_graph("bird", &doc);
         let root = g.find_vertex("bird").unwrap();
         assert_eq!(g.out_neighbors(root).len(), 3);
@@ -270,7 +257,7 @@ mod tests {
 
     #[test]
     fn json_nested_objects_recurse() {
-        let doc = JsonValue::parse(r#"{"wing": {"name": "long-wings", "color": "grey"}}"#).unwrap();
+        let doc = Value::parse(r#"{"wing": {"name": "long-wings", "color": "grey"}}"#).unwrap();
         let g = json_to_graph("albatross", &doc);
         let root = g.find_vertex("albatross").unwrap();
         let wing = g.find_vertex("long-wings").unwrap();
@@ -283,7 +270,7 @@ mod tests {
     fn mixed_sources_unify_on_labels() {
         let mut builder = DataLakeBuilder::new();
         builder.add_table(&birds_table());
-        let doc = JsonValue::parse(r#"{"name": "laysan albatross", "food": "squid"}"#).unwrap();
+        let doc = Value::parse(r#"{"name": "laysan albatross", "food": "squid"}"#).unwrap();
         builder.add_json("laysan albatross", &doc);
         assert_eq!(builder.source_count(), 2);
         let g = builder.build();
@@ -316,9 +303,80 @@ mod tests {
         assert_eq!(g.degree(b), 2);
     }
 
+    /// Vertex labels in id order, then `src>dst:label` edges.
+    fn layout(g: &Graph) -> String {
+        let labels: Vec<&str> = g.vertices().map(|v| g.vertex_label(v)).collect();
+        let edges: Vec<String> = (0..g.edge_count())
+            .map(|e| {
+                let (src, dst) = g.edge_endpoints(EdgeId(e));
+                format!("{}>{}:{}", src.0, dst.0, g.edge_label(EdgeId(e)))
+            })
+            .collect();
+        format!("{} | {}", labels.join(","), edges.join(","))
+    }
+
+    #[test]
+    fn data_lake_example_graph_is_pinned() {
+        // The three sources of `examples/data_lake_matching.rs`; labels and
+        // edges as the mapping built them before it read `cem_obs` values.
+        let columns = ["name", "crown color", "wing shape", "origin"];
+        let mut table = Table::new("birds", columns.map(String::from).to_vec());
+        for row in [
+            ["laysan albatross", "white crown", "long wings", "hawaii"],
+            ["downy woodpecker", "red crown", "short wings", "north america"],
+        ] {
+            table.push_row(row.map(String::from).to_vec());
+        }
+        let json = Value::parse(
+            r#"{"name": "snowy owl", "crown color": "white crown", "wing shape": "round wings",
+            "habitat": "@ref:tundra"}"#,
+        )
+        .unwrap();
+        let mut source = Graph::new();
+        let heron = source.add_vertex("great heron");
+        let (grey, long) = (source.add_vertex("grey crown"), source.add_vertex("long wings"));
+        source.add_edge(heron, grey, "has crown color");
+        source.add_edge(heron, long, "has wing shape");
+        assert_eq!(
+            layout(&json_to_graph("snowy owl", &json)),
+            "snowy owl,white crown,tundra,round wings | \
+             0>1:has crown color,0>2:habitat,0>0:has name,0>3:has wing shape"
+        );
+        let mut builder = DataLakeBuilder::new();
+        builder.add_table(&table);
+        builder.add_json("snowy owl", &json);
+        builder.add_graph(&source);
+        assert_eq!(
+            layout(&builder.build()),
+            "laysan albatross,white crown,long wings,hawaii,downy woodpecker,red crown,\
+             short wings,north america,snowy owl,tundra,round wings,great heron,grey crown | \
+             0>1:has crown color,0>2:has wing shape,0>3:has origin,4>5:has crown color,\
+             4>6:has wing shape,4>7:has origin,8>1:has crown color,8>9:habitat,8>8:has name,\
+             8>10:has wing shape,11>12:has crown color,11>2:has wing shape"
+        );
+    }
+
+    #[test]
+    fn json_fields_walk_in_key_order_and_repeated_keys_keep_the_last() {
+        // Pinned as the `BTreeMap`-backed mapping built it: sorted keys,
+        // last-wins duplicates, nested arrays flattened under their key,
+        // numbers printed as JSON, nulls skipped.
+        let doc = Value::parse(
+            r#"{"z": 1, "a": [true, 2.5, {"name": "w", "k": null}], "n": {"x": "@ref:q", "x": "last"},
+            "big": 1e15, "neg": -0.0, "a2": [[1, 2], "s"]}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            layout(&json_to_graph("root", &doc)),
+            "root,true,2.5,w,1,2,s,1000000000000000,n,last,0 | 0>1:has a,0>2:has a,0>3:a,\
+             3>3:has name,0>4:has a2,0>5:has a2,0>6:has a2,0>7:has big,0>8:n,8>9:has x,\
+             0>10:has neg,0>4:has z"
+        );
+    }
+
     #[test]
     fn null_fields_are_skipped() {
-        let doc = JsonValue::parse(r#"{"a": null, "b": "x"}"#).unwrap();
+        let doc = Value::parse(r#"{"a": null, "b": "x"}"#).unwrap();
         let g = json_to_graph("root", &doc);
         let root = g.find_vertex("root").unwrap();
         assert_eq!(g.out_neighbors(root).len(), 1);

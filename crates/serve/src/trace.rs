@@ -372,6 +372,22 @@ pub struct TraceStats {
     pub slo_burn_peak: f64,
 }
 
+impl TraceStats {
+    /// Fold another run's totals in: counts add, the burn peak is the
+    /// larger of the two.
+    pub fn merge(&mut self, other: &TraceStats) {
+        self.seen += other.seen;
+        self.sampled += other.sampled;
+        self.sampled_flagged += other.sampled_flagged;
+        self.sampled_tail += other.sampled_tail;
+        self.sampled_baseline += other.sampled_baseline;
+        self.slo_good += other.slo_good;
+        self.slo_bad += other.slo_bad;
+        self.slo_alerts += other.slo_alerts;
+        self.slo_burn_peak = self.slo_burn_peak.max(other.slo_burn_peak);
+    }
+}
+
 /// The service's tracing state: tail sampler + SLO monitor + a monotonic
 /// mapping from per-run local clocks to the monitor's global clock.
 pub(crate) struct ServeTracer {

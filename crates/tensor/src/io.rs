@@ -11,7 +11,8 @@
 //!            | end magic "CEMZ"
 //! ```
 //!
-//! v1 (no meta section, no CRCs, no footer) stays readable. Hand-rolled
+//! Any other version, including the retired v1 (which had no CRCs), is
+//! rejected with [`CheckpointError::UnsupportedVersion`]. Hand-rolled
 //! (rather than serde) so checkpoints stay compact and the format is
 //! trivially auditable. Every read path returns a typed
 //! [`CheckpointError`] — corrupted or truncated files are never a panic —
@@ -28,8 +29,6 @@ use crate::tensor::Tensor;
 
 const MAGIC: &[u8; 4] = b"CEMT";
 const END_MAGIC: &[u8; 4] = b"CEMZ";
-/// The legacy container version (pre-integrity-checking).
-pub const FORMAT_V1: u32 = 1;
 /// The current container version (per-entry CRC32 + whole-file footer).
 pub const FORMAT_V2: u32 = 2;
 
@@ -60,7 +59,7 @@ impl fmt::Display for CheckpointError {
                 write!(f, "bad checkpoint magic {found:?} (expected {MAGIC:?})")
             }
             CheckpointError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint version {v} (this build reads v1 and v2)")
+                write!(f, "unsupported checkpoint version {v} (this build reads v2)")
             }
             CheckpointError::Truncated { context, offset } => {
                 write!(f, "truncated checkpoint: {context} at byte {offset}")
@@ -176,33 +175,20 @@ impl StateDict {
         out
     }
 
-    /// Serialise to the legacy v1 container (no integrity checks). Kept so
-    /// back-compat reading stays testable and old tooling can be fed.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&FORMAT_V1.to_le_bytes());
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for (name, tensor) in &self.entries {
-            write_entry_body(&mut out, name, tensor);
-        }
-        out
-    }
-
     /// Serialise (v2) to any writer.
     pub fn write_to(&self, mut w: impl Write) -> Result<(), CheckpointError> {
         w.write_all(&self.to_bytes())?;
         Ok(())
     }
 
-    /// Deserialise from any reader (v1 or v2 accepted).
+    /// Deserialise from any reader.
     pub fn read_from(mut r: impl Read) -> Result<Self, CheckpointError> {
         let mut bytes = Vec::new();
         r.read_to_end(&mut bytes)?;
         StateDict::from_bytes(&bytes)
     }
 
-    /// Deserialise from an in-memory buffer (v1 or v2 accepted).
+    /// Deserialise from an in-memory buffer.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let mut cur = Cursor { bytes, pos: 0 };
         let magic = cur.take(4, "file magic")?;
@@ -210,11 +196,10 @@ impl StateDict {
             return Err(CheckpointError::BadMagic([magic[0], magic[1], magic[2], magic[3]]));
         }
         let version = cur.u32("container version")?;
-        match version {
-            FORMAT_V1 => parse_v1(cur),
-            FORMAT_V2 => parse_v2(cur),
-            other => Err(CheckpointError::UnsupportedVersion(other)),
+        if version != FORMAT_V2 {
+            return Err(CheckpointError::UnsupportedVersion(version));
         }
+        parse_v2(cur)
     }
 
     /// Save to a file path: write to a sibling temp file, fsync it, then
@@ -339,7 +324,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Parse one `name | rank | dims | data` entry body (shared by v1 and v2).
+/// Parse one `name | rank | dims | data` entry body.
 fn parse_entry(cur: &mut Cursor<'_>, dict: &mut StateDict) -> Result<(), CheckpointError> {
     let name = cur.string("entry name")?;
     let rank = cur.u32("entry rank")? as usize;
@@ -367,15 +352,6 @@ fn parse_entry(cur: &mut Cursor<'_>, dict: &mut StateDict) -> Result<(), Checkpo
     }
     dict.entries.insert(name, Tensor::from_vec(data, &dims));
     Ok(())
-}
-
-fn parse_v1(mut cur: Cursor<'_>) -> Result<StateDict, CheckpointError> {
-    let count = cur.u32("entry count")? as usize;
-    let mut dict = StateDict::new();
-    for _ in 0..count {
-        parse_entry(&mut cur, &mut dict)?;
-    }
-    Ok(dict)
 }
 
 fn parse_v2(mut cur: Cursor<'_>) -> Result<StateDict, CheckpointError> {
@@ -456,14 +432,15 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_stay_readable() {
-        let dict = sample();
-        let v1 = dict.to_bytes_v1();
-        let restored = StateDict::from_bytes(&v1).unwrap();
-        assert_eq!(restored.len(), 2);
-        assert_eq!(restored.get("layer.weight").unwrap().to_vec(), vec![1.5, -2.0, 0.25, 8.0]);
-        // v1 has no metadata section.
-        assert_eq!(restored.meta("epoch"), None);
+    fn v1_files_are_rejected() {
+        // The retired v1 layout: magic, version 1, entry count, bare entries
+        // with no CRCs. Its version word is checked before anything else.
+        let mut v1 = MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        write_entry_body(&mut v1, "w", &Tensor::from_vec(vec![1.5, -2.0], &[2]));
+        let err = StateDict::from_bytes(&v1).unwrap_err();
+        assert!(matches!(err, CheckpointError::UnsupportedVersion(1)), "{err}");
     }
 
     #[test]

@@ -39,7 +39,8 @@ pub fn broadcast_shape(a: &Shape, b: &Shape) -> Option<Shape> {
         if da != db && da != 1 && db != 1 {
             return None;
         }
-        *dim = da.max(db);
+        // A length-1 axis stretches to the other operand's, even to 0.
+        *dim = if da == 1 { db } else { da };
     }
     Some(Shape::new(&dims[..rank]))
 }
@@ -94,6 +95,9 @@ fn for_each_bcast(out: &Shape, a: &Shape, b: &Shape, mut f: impl FnMut(Run)) {
         return;
     }
     let numel = out.numel();
+    if numel == 0 {
+        return;
+    }
     let sa = bcast_strides(a, out);
     let sb = bcast_strides(b, out);
     let inner = rank - 1;
@@ -402,6 +406,19 @@ mod tests {
                 assert_eq!(steps, odometer(&out, &a, &b), "{a} vs {b}");
             }
         }
+    }
+
+    #[test]
+    fn zero_length_axes_broadcast_to_empty_results() {
+        let m = Tensor::zeros(&[2, 0]).requires_grad();
+        let row = Tensor::zeros(&[0]).requires_grad();
+        let y = m.add_bcast(&row);
+        assert_eq!(y.dims(), &[2, 0]);
+        y.sum().backward();
+        assert_eq!(m.grad(), Some(vec![]));
+        assert_eq!(row.grad(), Some(vec![]));
+        let col = Tensor::zeros(&[0, 1]).mul_bcast(&Tensor::zeros(&[3]));
+        assert_eq!(col.dims(), &[0, 3]);
     }
 
     #[test]

@@ -436,4 +436,22 @@ mod tests {
         let back = left.concat_cols(&right);
         assert_eq!(back.to_vec(), x.to_vec());
     }
+
+    #[test]
+    fn empty_slices_and_gathers_are_empty_tensors() {
+        let x = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[2, 3]).requires_grad();
+        let rows = x.slice_rows(1, 1);
+        let cols = x.slice_cols(2, 2);
+        let gathered = x.gather_rows(&[]);
+        assert_eq!(rows.dims(), &[0, 3]);
+        assert_eq!(cols.dims(), &[2, 0]);
+        assert_eq!(gathered.dims(), &[0, 3]);
+        for empty in [&rows, &cols, &gathered] {
+            assert_eq!(empty.numel(), 0);
+            assert!(empty.to_vec().is_empty());
+        }
+        // Their backward adds nothing: only the direct sum reaches `x`.
+        x.sum().add(&rows.sum()).add(&cols.sum()).add(&gathered.sum()).backward();
+        assert_eq!(x.grad().unwrap(), vec![1.0; 6]);
+    }
 }

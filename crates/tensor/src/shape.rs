@@ -48,9 +48,10 @@ impl Shape {
         self.dims[axis]
     }
 
-    /// Total number of elements.
+    /// Total number of elements (0 when any axis has length 0, 1 for a
+    /// scalar).
     pub fn numel(&self) -> usize {
-        self.dims[..self.rank].iter().product::<usize>().max(1)
+        self.dims[..self.rank].iter().product()
     }
 
     /// Row-major strides (in elements).
@@ -84,9 +85,10 @@ impl Shape {
         }
     }
 
-    /// Number of "rows", i.e. numel / last_dim.
+    /// Number of "rows": the product of every axis but the last (1 for
+    /// scalars and vectors), so a zero-length last axis still counts them.
     pub fn leading(&self) -> usize {
-        self.numel() / self.last_dim()
+        self.dims[..self.rank.saturating_sub(1)].iter().product()
     }
 
     /// True when both shapes have identical dims (rank-sensitive).
@@ -124,6 +126,16 @@ mod tests {
         assert_eq!(s.numel(), 24);
         assert_eq!(s.dims(), &[2, 3, 4]);
         assert_eq!(s.dim(1), 3);
+    }
+
+    #[test]
+    fn zero_length_axes_hold_no_elements() {
+        let s = Shape::new(&[3, 0]);
+        assert_eq!(s.numel(), 0);
+        assert_eq!(s.leading(), 3);
+        assert_eq!(Shape::new(&[0, 4]).numel(), 0);
+        assert_eq!(Shape::new(&[0, 4]).leading(), 0);
+        assert_eq!(Shape::new(&[0]).leading(), 1);
     }
 
     #[test]

@@ -169,9 +169,9 @@ proptest! {
         e_raw in raw(6 * 4),
         first_touch in 0u8..2,
     ) {
-        // A non-empty range `start..end` of `0..rows`.
-        let (p, q) = (a % rows, b % rows);
-        let (start, end) = (p.min(q), p.max(q) + 1);
+        // A range `start..end` of `0..rows`, empty when `start == end`.
+        let (p, q) = (a % (rows + 1), b % (rows + 1));
+        let (start, end) = (p.min(q), p.max(q));
         let g = values(&g_raw[..(end - start) * d]);
         let existing = (first_touch == 0).then(|| values(&e_raw[..rows * d]));
         let x = leaf(rows, d, existing.as_deref());
@@ -191,8 +191,8 @@ proptest! {
         e_raw in raw(5 * 6),
         first_touch in 0u8..2,
     ) {
-        let (p, q) = (a % cols, b % cols);
-        let (start, end) = (p.min(q), p.max(q) + 1);
+        let (p, q) = (a % (cols + 1), b % (cols + 1));
+        let (start, end) = (p.min(q), p.max(q));
         let w = end - start;
         let g = values(&g_raw[..rows * w]);
         let existing = (first_touch == 0).then(|| values(&e_raw[..rows * cols]));

@@ -10,7 +10,8 @@
 use cem_clip::pretrain::PretrainConfig;
 use cem_clip::{Clip, ClipConfig, Tokenizer};
 use cem_data::{AttributePool, ClassSpec, EmDataset, World};
-use cem_graph::{DataLakeBuilder, JsonValue, Table};
+use cem_graph::{DataLakeBuilder, Table};
+use cem_obs::json::Value;
 use crossem::{CrossEm, PromptKind, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,7 +39,7 @@ fn main() {
         "north america".into(),
     ]);
 
-    let json = JsonValue::parse(
+    let json = Value::parse(
         r#"{"name": "snowy owl", "crown color": "white crown", "wing shape": "round wings",
             "habitat": "@ref:tundra"}"#,
     )

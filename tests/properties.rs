@@ -1,7 +1,8 @@
 //! Property-based tests over the workspace's core invariants (proptest).
 
-use cem_graph::{d_hop_subgraph, Graph, JsonValue, VertexId};
-use cem_tensor::io::StateDict;
+use cem_graph::{d_hop_subgraph, Graph, VertexId};
+use cem_obs::json::{Object, Value};
+use cem_tensor::io::{CheckpointError, StateDict};
 use cem_tensor::Tensor;
 use crossem::kmeans::{clusters_of, kmeans};
 use crossem::metrics::evaluate_rankings;
@@ -145,17 +146,14 @@ proptest! {
 
     #[test]
     fn json_display_parse_roundtrip(keys in prop::collection::vec("[a-z]{1,6}", 1..5), n in -1000i32..1000) {
-        let mut map = std::collections::BTreeMap::new();
+        let mut object = Object::new();
         for (i, k) in keys.iter().enumerate() {
-            map.insert(k.clone(), if i % 2 == 0 {
-                JsonValue::Number(n as f64)
-            } else {
-                JsonValue::String(format!("s{i}"))
-            });
+            object.push(k.clone(), if i % 2 == 0 { Value::Num(n as f64) } else { Value::Str(format!("s{i}")) });
         }
-        let v = JsonValue::Object(map);
-        let reparsed = JsonValue::parse(&v.to_string()).unwrap();
-        prop_assert_eq!(v, reparsed);
+        let v = Value::Obj(object);
+        let (compact, pretty) = (Value::parse(&v.to_json()), Value::parse(&v.to_pretty()));
+        prop_assert_eq!(compact.as_ref(), Ok(&v));
+        prop_assert_eq!(pretty.as_ref(), Ok(&v));
     }
 
     // ---------------- metrics invariants ----------------
@@ -215,11 +213,13 @@ proptest! {
     }
 
     #[test]
-    fn cemt_v1_files_stay_readable(count in 1usize..5, rows in 1usize..4, cols in 1usize..6, seed in 0u64..1000) {
-        let dict = build_dict(count, rows, cols, seed, false);
-        let restored = StateDict::from_bytes(&dict.to_bytes_v1()).unwrap();
-        prop_assert!(dicts_equal(&dict, &restored));
-        prop_assert_eq!(restored.meta_iter().count(), 0);
+    fn cemt_v1_files_are_rejected(count in 1usize..5, rows in 1usize..4, cols in 1usize..6, seed in 0u64..1000) {
+        // v1 carried no CRCs; a file whose version word reads 1 is refused
+        // before any entry is parsed, so no integrity check is skipped.
+        let mut bytes = build_dict(count, rows, cols, seed, false).to_bytes();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let err = StateDict::from_bytes(&bytes).unwrap_err();
+        prop_assert!(matches!(err, CheckpointError::UnsupportedVersion(1)), "{}", err);
     }
 
     #[test]
